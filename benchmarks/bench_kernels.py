@@ -1,7 +1,9 @@
-"""Benchmark the jit and numpy conv/pool kernels at the model's layer shapes.
+"""Time the conv/pool kernels at the model's layer shapes.
 
-Runs every hot kernel through both backend tables and prints a timing table
-plus the worst numeric disagreement. Use --quick for a fast smoke pass.
+Runs every hot kernel through the public wrappers in ecgvae.kernels and
+prints a timing table (best of N). conv1d_bwd unfolds its input into im2col
+columns again, which a training step does not pay: autodiff keeps the
+columns from the forward pass. Use --quick for a fast smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """
@@ -36,6 +38,7 @@ POOL_WIDTH = 2
 
 
 def best_ms(fn, reps: int) -> float:
+    fn()  # warm caches before timing
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -44,75 +47,37 @@ def best_ms(fn, reps: int) -> float:
     return best * 1e3
 
 
-def bench_conv(impls, batch: int, reps: int):
+def bench_conv(batch: int, reps: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(0)
     rows = []
-    worst_diff = 0.0
     for label, ci, co, length, stride in CONV_SHAPES:
         x = rng.standard_normal((batch, ci, length)).astype(np.float32)
         w = rng.standard_normal((co, ci, KERNEL_WIDTH)).astype(np.float32)
-        xp = kernels._pad_same(x, KERNEL_WIDTH)
-        lout = kernels.conv_out_len(length, stride)
-        y = {}
-        times = {}
-        for name, table in impls.items():
-            fwd = table["conv_fwd"]
-            bwd = table["conv_bwd"]
-            y[name] = fwd(xp, w, stride, lout)
-            dy = np.ascontiguousarray(y[name])
-            fwd(xp, w, stride, lout)  # warm path before timing
-            bwd(xp, w, stride, dy)
-            times[name] = (best_ms(lambda: fwd(xp, w, stride, lout), reps),
-                           best_ms(lambda: bwd(xp, w, stride, dy), reps))
-        if len(y) == 2:
-            a, b = y.values()
-            worst_diff = max(worst_diff, float(np.abs(a - b).max()))
-        rows.append((label, times))
-    return rows, worst_diff
+        dy = kernels.conv1d_fwd(x, w, stride)
+        rows.append((label, best_ms(lambda: kernels.conv1d_fwd(x, w, stride), reps),
+                     best_ms(lambda: kernels.conv1d_bwd(x, w, stride, dy), reps)))
+    return rows
 
 
-def bench_pool(impls, batch: int, reps: int):
+def bench_pool(batch: int, reps: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(1)
     rows = []
-    worst_diff = 0.0
     for label, ch, length in POOL_SHAPES:
         x = rng.standard_normal((batch, ch, length)).astype(np.float32)
-        lout = length // POOL_WIDTH
-        y = {}
-        times = {}
-        for name, table in impls.items():
-            fwd = table["pool_fwd"]
-            bwd = table["pool_bwd"]
-            out, idx = fwd(x, POOL_WIDTH, lout)
-            y[name] = out
-            dy = np.ascontiguousarray(out)
-            times[name] = (best_ms(lambda: fwd(x, POOL_WIDTH, lout), reps),
-                           best_ms(lambda: bwd(dy, idx, length), reps))
-        if len(y) == 2:
-            a, b = y.values()
-            worst_diff = max(worst_diff, float(np.abs(a - b).max()))
-        rows.append((label, times))
-    return rows, worst_diff
+        dy, route = kernels.maxpool1d_fwd(x, POOL_WIDTH)
+        rows.append((label, best_ms(lambda: kernels.maxpool1d_fwd(x, POOL_WIDTH), reps),
+                     best_ms(lambda: kernels.maxpool1d_bwd(dy, route, length), reps)))
+    return rows
 
 
-def print_table(title: str, rows, names) -> None:
+def print_table(title: str, rows) -> None:
     print(f"\n{title}")
-    head = f"{'layer':<24}"
-    for name in names:
-        head += f"{name + ' fwd':>12}{name + ' bwd':>12}"
-    if len(names) == 2:
-        head += f"{'fwd x':>8}{'bwd x':>8}"
+    head = f"{'layer':<24}{'fwd':>12}{'bwd':>12}"
     print(head)
     print("-" * len(head))
-    for label, times in rows:
-        line = f"{label:<24}"
-        for name in names:
-            f, b = times[name]
-            line += f"{f:>10.3f}ms{b:>10.3f}ms"
-        if len(names) == 2:
-            (f0, b0), (f1, b1) = (times[n] for n in names)
-            line += f"{f1 / f0:>7.1f}x{b1 / b0:>7.1f}x"
-        print(line)
+    for label, fwd, bwd in rows:
+        print(f"{label:<24}{fwd:>10.3f}ms{bwd:>10.3f}ms")
+    print(f"{'total':<24}{sum(r[1] for r in rows):>10.3f}ms{sum(r[2] for r in rows):>10.3f}ms")
 
 
 def main() -> None:
@@ -124,22 +89,9 @@ def main() -> None:
     batch = 8 if args.quick else args.batch
     reps = 3 if args.quick else args.reps
 
-    names = list(kernels.available_backends())
-    if kernels.backend_name() in names:
-        # put the active backend first so the speedup column reads active/other
-        names.remove(kernels.backend_name())
-        names.insert(0, kernels.backend_name())
-    impls = {name: kernels.get_impl(name) for name in names}
-
-    print(f"active backend: {kernels.backend_name()}  "
-          f"(batch {batch}, best of {reps} reps)")
-    conv_rows, conv_diff = bench_conv(impls, batch, reps)
-    print_table("conv1d (same padding, K=5)", conv_rows, names)
-    pool_rows, pool_diff = bench_pool(impls, batch, reps)
-    print_table(f"maxpool1d (width {POOL_WIDTH})", pool_rows, names)
-    if len(names) == 2:
-        print(f"\nmax |numba - numpy| disagreement: conv {conv_diff:.2e}, "
-              f"pool {pool_diff:.2e}")
+    print(f"kernels: {kernels.backend_name()}  (batch {batch}, best of {reps} reps)")
+    print_table(f"conv1d (same padding, K={KERNEL_WIDTH})", bench_conv(batch, reps))
+    print_table(f"maxpool1d (width {POOL_WIDTH})", bench_pool(batch, reps))
 
 
 if __name__ == "__main__":

@@ -7,9 +7,14 @@ Gradient accumulation is additive on purpose: a tensor consumed by two ops
 receives the sum of both contributions.
 
 The op set is exactly what the encoder/decoder stack needs, nothing more.
-Every op checks its output for NaN/Inf and raises NumericsError immediately,
-which keeps a diverging training run from silently poisoning later epochs.
-Arrays are float32 or float64; reductions accumulate in float64 and cast back.
+Layers that would take many primitive nodes are single ops with a closed-form
+backward: batch_norm (with an optional fused ReLU) is one node, and conv1d
+keeps its im2col columns from the forward pass for the backward pass.
+Each op checks its own output for NaN/Inf once and raises NumericsError
+immediately, which keeps a diverging training run from silently poisoning
+later epochs; overflow inside an op is silenced and surfaces through that
+check. Arrays are float32 or float64; reductions accumulate in float64 and
+cast back.
 """
 
 from __future__ import annotations
@@ -166,6 +171,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Float64 sum of a (or of a * b) over every axis but the channel axis 1."""
+    if a.ndim == 3:
+        # einsum sums each length-L row in float32 SIMD lanes; rows add in float64
+        rows = np.einsum("bcl->bc", a) if b is None else np.einsum("bcl,bcl->bc", a, b)
+    else:
+        rows = a if b is None else a * b
+    return rows.sum(axis=0, dtype=np.float64)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str) -> Tensor:
     _check_finite(data, op)
     req = any(p.requires_grad for p in parents)
@@ -188,7 +203,6 @@ def add(a, b) -> Tensor:
     b = _coerce(b, a.dtype)
     _match_dtypes(a, b, "add")
     out_data = a.data + b.data
-    out = _node(out_data, (a, b), None, "add")
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -196,14 +210,12 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (a, b), bwd, "add")
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _coerce(b, a.dtype)
     _match_dtypes(a, b, "sub")
-    out = _node(a.data - b.data, (a, b), None, "sub")
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -211,14 +223,12 @@ def sub(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(a.data - b.data, (a, b), bwd, "sub")
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a.dtype)
     _match_dtypes(a, b, "mul")
-    out = _node(a.data * b.data, (a, b), None, "mul")
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -226,59 +236,51 @@ def mul(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(a.data * b.data, (a, b), bwd, "mul")
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow becomes a NumericsError below
         out_data = np.exp(x.data)
-    out = _node(out_data, (x,), None, "exp")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g * out_data)
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "exp")
 
 
 def square(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow becomes a NumericsError below
         out_data = x.data * x.data
-    out = _node(out_data, (x,), None, "square")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g * (2.0 * x.data))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "square")
 
 
 def powf(x: Tensor, p: float) -> Tensor:
-    """x ** p for strictly positive x (used for 1/sqrt in normalization)."""
+    """x ** p for strictly positive x."""
     out_data = np.power(x.data, p)
-    out = _node(out_data, (x,), None, "powf")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g * (p * np.power(x.data, p - 1.0)))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "powf")
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    out = _node(np.where(mask, x.data, x.dtype.type(0)), (x,), None, "relu")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.where(mask, g, g.dtype.type(0)))
+            x._accumulate(g * mask)
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    # a multiply, not np.where: an unpredictable mask makes where several times slower
+    return _node(x.data * mask, (x,), bwd, "relu")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,6 @@ def _norm_axes(axis, ndim: int):
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
-    out = _node(out_data, (x,), None, "sum")
     axes = _norm_axes(axis, x.data.ndim)
 
     def bwd(g: np.ndarray) -> None:
@@ -306,13 +307,11 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = np.expand_dims(gg, axes)
         x._accumulate(np.broadcast_to(gg, x.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "sum")
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
-    out = _node(out_data, (x,), None, "mean")
     axes = _norm_axes(axis, x.data.ndim)
     count = x.data.size if axes is None else int(np.prod([x.data.shape[a] for a in axes]))
     inv = 1.0 / count
@@ -325,8 +324,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = np.expand_dims(gg, axes)
         x._accumulate(np.broadcast_to(gg, x.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "mean")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -335,14 +333,12 @@ def reshape(x: Tensor, shape) -> Tensor:
         out_data = x.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(f"reshape: cannot view {x.data.shape} as {shape}") from e
-    out = _node(out_data, (x,), None, "reshape")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g.reshape(x.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, (x,), bwd, "reshape")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -357,7 +353,6 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
         out_data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as e:
         raise DimensionError(f"concat: incompatible shapes {[p.data.shape for p in parts]}") from e
-    out = _node(out_data, tuple(parts), None, "concat")
     sizes = [p.data.shape[axis] for p in parts]
     bounds = np.cumsum([0] + sizes)
 
@@ -368,8 +363,7 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
                 sl[axis] = slice(int(lo), int(hi))
                 p._accumulate(g[tuple(sl)])
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(out_data, tuple(parts), bwd, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"dense: input width {x.data.shape} does not match weight {w.data.shape}"
         )
-    out = _node(x.data @ w.data.T + b.data, (x, w, b), None, "dense")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -394,8 +387,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(x.data @ w.data.T + b.data, (x, w, b), bwd, "dense")
 
 
 def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
@@ -412,23 +404,21 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) ->
         raise DimensionError(
             f"conv1d: input has {x.data.shape[1]} channels, weight expects {w.data.shape[1]}"
         )
-    y = kernels.conv1d_fwd(x.data, w.data, stride)
-    if b is not None:
-        y = y + b.data.reshape(1, -1, 1)
+    cols = kernels.im2col(x.data, w.data.shape[2], stride)
+    y = kernels.conv1d_cols(cols, w.data, x.data.shape[0], None if b is None else b.data)
     parents = (x, w) if b is None else (x, w, b)
-    out = _node(y, parents, None, "conv1d")
 
     def bwd(g: np.ndarray) -> None:
-        dx, dw = kernels.conv1d_bwd(x.data, w.data, stride, g)
+        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g, x.data.shape[2], stride,
+                                         need_dx=x.requires_grad)
         if x.requires_grad:
             x._accumulate(dx)
         if w.requires_grad:
             w._accumulate(dw)
         if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2)))
+            b._accumulate(_channel_sum(g).astype(g.dtype))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(y, parents, bwd, "conv1d")
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
@@ -441,16 +431,14 @@ def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
         raise DimensionError(
             f"pool width {width} exceeds input length {x.data.shape[2]}"
         )
-    y, idx = kernels.maxpool1d_fwd(x.data, width)
+    y, route = kernels.maxpool1d_fwd(x.data, width)
     length = x.data.shape[2]
-    out = _node(y, (x,), None, "maxpool1d")
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(kernels.maxpool1d_bwd(g, idx, length))
+            x._accumulate(kernels.maxpool1d_bwd(g, route, length))
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(y, (x,), bwd, "maxpool1d")
 
 
 def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
@@ -459,12 +447,85 @@ def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
         raise DimensionError(f"upsample1d expects rank-3 input, got shape {x.data.shape}")
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    out = _node(np.repeat(x.data, factor, axis=2), (x,), None, "upsample1d")
-    b, c, length = x.data.shape
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g.reshape(b, c, length, factor).sum(axis=3))
+            # adding strided slices beats a sum over a short trailing axis ~20x
+            gx = g[:, :, 0::factor].copy()
+            for j in range(1, factor):
+                gx += g[:, :, j::factor]
+            x._accumulate(gx)
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return _node(np.repeat(x.data, factor, axis=2), (x,), bwd, "upsample1d")
+
+
+# ---------------------------------------------------------------------------
+# normalization
+
+
+def batch_norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    eps: float,
+    running: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    relu: bool = False,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel normalization of [B,C] or [B,C,L], scaled by gamma [C], shifted by beta [C].
+
+    With `running` None, x is normalized by its own batch mean and population
+    variance over every axis but 1, and the gradient flows through both in
+    closed form (Ioffe & Szegedy 2015). With running = (mean, var) those are
+    constants. `relu` applies max(., 0) to the output inside the same op.
+    Returns the output and the mean and variance used, in x's dtype.
+    """
+    xd = x.data
+    if xd.ndim not in (2, 3):
+        raise DimensionError(f"batch_norm needs rank 2 or 3 input, got shape {xd.shape}")
+    c = gamma.data.shape[0]
+    if xd.shape[1] != c:
+        raise DimensionError(f"batch_norm: expected {c} channels, got shape {xd.shape}")
+    _match_dtypes(x, gamma, "batch_norm")
+    shape = (1, c) + (1,) * (xd.ndim - 2)
+    n = xd.size // c
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow becomes a NumericsError
+        if running is None:
+            if xd.shape[0] < 2:
+                raise DimensionError(
+                    "train-mode batch_norm needs batch size >= 2 to estimate variance"
+                )
+            mean = (_channel_sum(xd) / n).astype(xd.dtype)
+            xc = xd - mean.reshape(shape)
+            var = (_channel_sum(xc, xc) / n).astype(xd.dtype)
+            # an infinite variance would scale every output to beta, past the output check
+            _check_finite(var, "batch_norm")
+        else:
+            mean, var = (np.asarray(s, dtype=xd.dtype) for s in running)
+            xc = xd - mean.reshape(shape)
+        inv_std = (var + eps) ** -0.5
+        scale = gamma.data * inv_std
+        y = xc * scale.reshape(shape)
+        y += beta.data.reshape(shape)
+        if relu:
+            mask = y > 0
+            y *= mask  # unlike np.maximum this turns -inf into NaN, which the check sees
+
+    def bwd(g: np.ndarray) -> None:
+        if relu:
+            g = g * mask
+        gsum = _channel_sum(g)
+        gxc = _channel_sum(g, xc) if gamma.requires_grad or running is None else None
+        if beta.requires_grad:
+            beta._accumulate(gsum.astype(xd.dtype))
+        if gamma.requires_grad:
+            gamma._accumulate((gxc * inv_std).astype(xd.dtype))
+        if not x.requires_grad:
+            return
+        dx = g * scale.reshape(shape)
+        if running is None:
+            # dx = scale * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * inv_std
+            dx -= (scale * gsum / n).astype(xd.dtype).reshape(shape)
+            dx -= xc * (scale * inv_std * inv_std * gxc / n).astype(xd.dtype).reshape(shape)
+        x._accumulate(dx)
+
+    return _node(y, (x, gamma, beta), bwd, "batch_norm"), mean, var

@@ -1,11 +1,17 @@
-"""Hot numeric kernels: 1-d convolution and max pooling.
+"""Hot numeric kernels: 1-d convolution and max pooling, in numpy.
 
-Two interchangeable implementations live here. The numba one compiles the
-inner loops with @njit; the numpy one goes through sliding windows and BLAS
-matmuls. Which one runs is decided once at import time by the ECGVAE_BACKEND
-environment variable ("numba" or "numpy"; unset means numba when importable,
-numpy otherwise). Both produce the same results up to float accumulation
-order, and benchmarks/bench_kernels.py times them against each other.
+Convolution goes through im2col (Chellapilla et al. 2006): the padded input
+is unfolded once into a column matrix [Ci*K, B*Lout], after which the forward
+pass is one matmul, and the backward pass is one matmul for dw plus one
+matmul and a col2im fold for dx. The columns are channel-major with batch and
+position last, so each transpose around the matmuls permutes outer axes only
+and copies whole contiguous rows. autodiff keeps the forward columns for the
+backward pass; conv1d_fwd/conv1d_bwd compose the same helpers for callers
+that hold no columns.
+
+Max pooling takes a running max over the `width` strided slices of each
+window and records which slice won as a boolean route mask, so the backward
+pass is `width` strided multiplies with no index arithmetic.
 
 All kernels take rank-3 arrays [batch, channels, length] and are shape-blind
 beyond that: validation lives in the calling layer code. Convolution is
@@ -17,298 +23,131 @@ partial window dropped.
 
 from __future__ import annotations
 
-import os
-import warnings
+from typing import Optional
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only where numba is absent
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy implementation
-
-
-def _conv_fwd_numpy(xp: np.ndarray, w: np.ndarray, stride: int, lout: int) -> np.ndarray:
-    """Correlate padded input [B,Ci,Lp] with w [Co,Ci,K] -> [B,Co,lout]."""
-    b, ci, _ = xp.shape
-    co, _, k = w.shape
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    win = win[:, :, ::stride, :][:, :, :lout, :]  # [B,Ci,lout,K]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b * lout, ci * k)
-    y = cols @ w.reshape(co, ci * k).T
-    return np.ascontiguousarray(y.reshape(b, lout, co).transpose(0, 2, 1))
-
-
-def _conv_bwd_numpy(
-    xp: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients wrt padded input and weights for _conv_fwd_numpy."""
-    b, ci, _ = xp.shape
-    co, _, k = w.shape
-    lout = dy.shape[2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    win = win[:, :, ::stride, :][:, :, :lout, :]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b * lout, ci * k)
-    dym = np.ascontiguousarray(dy.transpose(1, 0, 2)).reshape(co, b * lout)
-    dw = (dym @ cols).reshape(co, ci, k)
-
-    dcols = np.ascontiguousarray(dy.transpose(0, 2, 1)).reshape(b * lout, co)
-    dcols = (dcols @ w.reshape(co, ci * k)).reshape(b, lout, ci, k)
-    dxp = np.zeros_like(xp)
-    span = (lout - 1) * stride + 1
-    for kk in range(k):
-        # windows overlap across kk, never within one kk, so slice-adds are safe
-        dxp[:, :, kk : kk + span : stride] += dcols[:, :, :, kk].transpose(0, 2, 1)
-    return dxp, dw
-
-
-def _pool_fwd_numpy(x: np.ndarray, width: int, lout: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pool; returns values and flat argmax positions."""
-    b, c, _ = x.shape
-    blocks = x[:, :, : lout * width].reshape(b, c, lout, width)
-    rel = blocks.argmax(axis=3)
-    y = np.take_along_axis(blocks, rel[..., None], axis=3)[..., 0]
-    idx = rel.astype(np.int64) + np.arange(lout, dtype=np.int64)[None, None, :] * width
-    return y, idx
-
-
-def _pool_bwd_numpy(dy: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
-    b, c, lout = dy.shape
-    dx = np.zeros((b, c, length), dtype=dy.dtype)
-    flat = dx.reshape(b * c, length)
-    rows = np.repeat(np.arange(b * c), lout)
-    # argmax positions are unique per window, so direct assignment works
-    flat[rows, idx.reshape(-1)] += dy.reshape(-1)
-    return dx
-
-
-# ---------------------------------------------------------------------------
-# numba implementation
-
-
-# The conv loops accumulate into small local buffers instead of output views:
-# LLVM cannot prove an output view free of aliasing and refuses to vectorize
-# through it, which costs about 5x. fastmath additionally lets the dw reduction
-# use SIMD lanes; results stay identical from call to call for a given build.
-
-
-@njit(cache=True, fastmath=True)
-def _conv_fwd_numba(xp, w, stride, lout):  # pragma: no cover - jitted
-    b, ci, _ = xp.shape
-    co = w.shape[0]
-    k = w.shape[2]
-    y = np.zeros((b, co, lout), dtype=xp.dtype)
-    acc = np.zeros(lout, dtype=xp.dtype)
-    zero = xp[0, 0, 0] * 0
-    for bb in range(b):
-        for o in range(co):
-            for t in range(lout):
-                acc[t] = zero
-            for i in range(ci):
-                xi = xp[bb, i]
-                for kk in range(k):
-                    wv = w[o, i, kk]
-                    if stride == 1:
-                        for t in range(lout):
-                            acc[t] += wv * xi[t + kk]
-                    else:
-                        for t in range(lout):
-                            acc[t] += wv * xi[t * stride + kk]
-            for t in range(lout):
-                y[bb, o, t] = acc[t]
-    return y
-
-
-@njit(cache=True, fastmath=True)
-def _conv_bwd_numba(xp, w, stride, dy):  # pragma: no cover - jitted
-    b, ci, lp = xp.shape
-    co = w.shape[0]
-    k = w.shape[2]
-    lout = dy.shape[2]
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    dacc = np.zeros(lp, dtype=xp.dtype)
-    zero = xp[0, 0, 0] * 0
-    for bb in range(b):
-        for i in range(ci):
-            xi = xp[bb, i]
-            for t in range(lp):
-                dacc[t] = zero
-            for o in range(co):
-                dyb = dy[bb, o]
-                for kk in range(k):
-                    wv = w[o, i, kk]
-                    acc = zero
-                    if stride == 1:
-                        for t in range(lout):
-                            dacc[t + kk] += wv * dyb[t]
-                            acc += dyb[t] * xi[t + kk]
-                    else:
-                        for t in range(lout):
-                            dacc[t * stride + kk] += wv * dyb[t]
-                            acc += dyb[t] * xi[t * stride + kk]
-                    dw[o, i, kk] += acc
-            for t in range(lp):
-                dxp[bb, i, t] = dacc[t]
-    return dxp, dw
-
-
-@njit(cache=True)
-def _pool_fwd_numba(x, width, lout):  # pragma: no cover - jitted
-    b, c, _ = x.shape
-    y = np.empty((b, c, lout), dtype=x.dtype)
-    idx = np.empty((b, c, lout), dtype=np.int64)
-    for bb in range(b):
-        for cc in range(c):
-            row = x[bb, cc]
-            for t in range(lout):
-                base = t * width
-                best = row[base]
-                bi = base
-                for j in range(1, width):
-                    v = row[base + j]
-                    if v > best:  # strict: first position wins ties
-                        best = v
-                        bi = base + j
-                y[bb, cc, t] = best
-                idx[bb, cc, t] = bi
-    return y, idx
-
-
-@njit(cache=True)
-def _pool_bwd_numba(dy, idx, length):  # pragma: no cover - jitted
-    b, c, lout = dy.shape
-    dx = np.zeros((b, c, length), dtype=dy.dtype)
-    for bb in range(b):
-        for cc in range(c):
-            for t in range(lout):
-                dx[bb, cc, idx[bb, cc, t]] += dy[bb, cc, t]
-    return dx
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_IMPLS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "conv_fwd": _conv_fwd_numpy,
-        "conv_bwd": _conv_bwd_numpy,
-        "pool_fwd": _pool_fwd_numpy,
-        "pool_bwd": _pool_bwd_numpy,
-    }
-}
-if _HAS_NUMBA:
-    _IMPLS["numba"] = {
-        "conv_fwd": _conv_fwd_numba,
-        "conv_bwd": _conv_bwd_numba,
-        "pool_fwd": _pool_fwd_numba,
-        "pool_bwd": _pool_bwd_numba,
-    }
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get("ECGVAE_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        warnings.warn(
-            f"ECGVAE_BACKEND must be 'numba' or 'numpy', got {requested!r}; ignoring"
-        )
-        requested = ""
-    if requested == "numba" and not _HAS_NUMBA:
-        warnings.warn("ECGVAE_BACKEND=numba but numba is not importable; using numpy")
-        return "numpy"
-    if requested:
-        return requested
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _pick_backend()
-
 
 def backend_name() -> str:
-    """Name of the implementation selected at import time."""
-    return _ACTIVE
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def get_impl(name: str) -> dict[str, object]:
-    """Raw kernel table for one backend; the benchmark drives both through this."""
-    if name not in _IMPLS:
-        raise KeyError(f"no such backend: {name!r} (have {sorted(_IMPLS)})")
-    return _IMPLS[name]
-
-
-# ---------------------------------------------------------------------------
-# public wrappers (padding + output-length bookkeeping)
-
-
-def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
-    pad = (k - 1) // 2
-    if pad == 0:
-        return np.ascontiguousarray(x)
-    b, c, length = x.shape
-    xp = np.zeros((b, c, length + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + length] = x
-    return xp
+    """Name of the kernel implementation, recorded by the benchmarks."""
+    return "numpy"
 
 
 def conv_out_len(length: int, stride: int) -> int:
     return -(-length // stride)
 
 
+# ---------------------------------------------------------------------------
+# convolution
+
+
+def im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Unfold x [B,Ci,L] into columns [Ci*K, B*Lout] of its zero-padded copy.
+
+    cols[i*K + kk, b*Lout + t] = xpad[b, i, t*stride + kk].
+    """
+    b, ci, length = x.shape
+    lout = conv_out_len(length, stride)
+    pad = (k - 1) // 2
+    xp = np.zeros((b, ci, length + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + length] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride][:, :, :lout]
+    return np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(ci * k, b * lout)
+
+
+def col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int) -> np.ndarray:
+    """Sum column gradients [Ci*K, B*Lout] back onto an input of `shape` [B,Ci,L]."""
+    b, ci, length = shape
+    lout = conv_out_len(length, stride)
+    pad = (k - 1) // 2
+    taps = dcols.reshape(ci, k, b, lout)
+    dx = np.zeros(shape, dtype=dcols.dtype)
+    dxt = dx.transpose(1, 0, 2)  # view in the columns' [Ci, B, L] order
+    for kk in range(k):
+        # output t reads input position t*stride + shift; skip the padding
+        shift = kk - pad
+        t0 = max(0, -(shift // stride))
+        t1 = min(lout, (length - 1 - shift) // stride + 1)
+        if t1 > t0:
+            lo = t0 * stride + shift
+            dxt[:, :, lo:lo + (t1 - t0 - 1) * stride + 1:stride] += taps[:, kk, :, t0:t1]
+    return dx
+
+
+def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
+                bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Convolution output [B,Co,Lout] from im2col columns, plus an optional bias [Co]."""
+    co = w.shape[0]
+    y = (w.reshape(co, -1) @ cols).reshape(co, batch, -1).transpose(1, 0, 2)
+    out = np.empty(y.shape, dtype=y.dtype)
+    if bias is None:
+        np.copyto(out, y)
+    else:
+        np.add(y, bias[:, None], out=out)
+    return out
+
+
+def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int,
+                    stride: int, need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(dx or None, dw) of conv1d_cols given its columns and upstream dy [B,Co,Lout]."""
+    co, ci, k = w.shape
+    b = dy.shape[0]
+    dyc = np.ascontiguousarray(dy.transpose(1, 0, 2)).reshape(co, -1)
+    dw = (dyc @ cols.T).reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    wm = w.reshape(co, ci * k)
+    # OpenBLAS runs the rank-1 product of a single output channel ~10x slower
+    # than the equivalent broadcast multiply
+    dcols = wm.T * dyc if co == 1 else wm.T @ dyc
+    return col2im(dcols, (b, ci, length), k, stride), dw
+
+
 def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Zero-padded cross-correlation, x [B,Ci,L] * w [Co,Ci,K] -> [B,Co,ceil(L/s)]."""
-    lout = conv_out_len(x.shape[2], stride)
-    xp = _pad_same(x, w.shape[2])
-    fn = _IMPLS[_ACTIVE]["conv_fwd"]
-    return fn(xp, np.ascontiguousarray(w), stride, lout)  # type: ignore[operator]
+    return conv1d_cols(im2col(x, w.shape[2], stride), w, x.shape[0])
 
 
 def conv1d_bwd(
     x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,Lout]."""
-    pad = (w.shape[2] - 1) // 2
-    xp = _pad_same(x, w.shape[2])
-    fn = _IMPLS[_ACTIVE]["conv_bwd"]
-    dxp, dw = fn(xp, np.ascontiguousarray(w), stride, np.ascontiguousarray(dy))  # type: ignore[operator]
-    if pad:
-        dxp = np.ascontiguousarray(dxp[:, :, pad:-pad])
-    return dxp, dw
+    return conv1d_cols_bwd(im2col(x, w.shape[2], stride), w, dy, x.shape[2], stride)
+
+
+# ---------------------------------------------------------------------------
+# max pooling
 
 
 def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max over windows of `width`; trailing remainder dropped."""
-    lout = x.shape[2] // width
-    fn = _IMPLS[_ACTIVE]["pool_fwd"]
-    return fn(np.ascontiguousarray(x), width, lout)  # type: ignore[operator]
+    """Non-overlapping max over windows of `width`; trailing remainder dropped.
+
+    Returns the pooled values [B,C,Lout] and a route mask [B,C,width,Lout]
+    that is True at exactly one offset per window: the first maximum.
+    """
+    b, c, length = x.shape
+    lout = length // width
+    n = lout * width
+    y = x[:, :, 0:n:width]
+    # first mark each offset that beats every earlier one; strictly, so a tie
+    # keeps the earlier offset. The last offset so marked holds the maximum.
+    route = np.empty((b, c, width, lout), dtype=bool)
+    route[:, :, 0] = True
+    for j in range(1, width):
+        s = x[:, :, j:n:width]
+        np.greater(s, y, out=route[:, :, j])
+        y = np.maximum(y, s)
+    for j in range(width - 1, 0, -1):
+        route[:, :, :j] &= ~route[:, :, j:j + 1]
+    return (y if width > 1 else y.copy()), route  # width 1 would return a view of x
 
 
-def maxpool1d_bwd(dy: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
-    """Scatter upstream dy back to the argmax positions of the forward pass."""
-    fn = _IMPLS[_ACTIVE]["pool_bwd"]
-    return fn(np.ascontiguousarray(dy), idx, length)  # type: ignore[operator]
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so timing loops start hot."""
-    x = np.zeros((1, 1, 8), dtype=np.float32)
-    w = np.zeros((1, 1, 3), dtype=np.float32)
-    y = conv1d_fwd(x, w, 1)
-    conv1d_bwd(x, w, 1, y)
-    p, idx = maxpool1d_fwd(x, 2)
-    maxpool1d_bwd(p, idx, 8)
+def maxpool1d_bwd(dy: np.ndarray, route: np.ndarray, length: int) -> np.ndarray:
+    """Send upstream dy [B,C,Lout] back to the window maxima named by `route`."""
+    b, c, width, lout = route.shape
+    n = lout * width
+    dx = np.empty((b, c, length), dtype=dy.dtype)
+    dx[:, :, n:] = 0
+    for j in range(width):
+        np.multiply(dy, route[:, :, j], out=dx[:, :, j:n:width])
+    return dx

@@ -2,9 +2,11 @@
 
 Layers own Parameter tensors (He-uniform initialized from a caller-supplied
 Generator) and describe themselves via LayerSpec for checkpoint manifests.
-BatchNorm1d is composed from primitive ops so its gradients come for free;
-it normalizes with the population variance (divide by N) and keeps float32
-running statistics updated only on train-mode calls.
+BatchNorm1d is one autodiff op; it normalizes with the population variance
+(divide by N) and keeps float32 running statistics updated only on
+train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
+as that one op with the ReLU fused in; the layer list, and with it the
+checkpoint layout, stays as written.
 """
 
 from __future__ import annotations
@@ -142,46 +144,18 @@ class BatchNorm1d(Layer):
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
 
-    def _axes_and_shape(self, x: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if x.data.ndim == 2:
-            if x.data.shape[1] != self.num_features:
-                raise DimensionError(
-                    f"expected {self.num_features} features, got {x.data.shape}"
-                )
-            return (0,), (1, self.num_features)
-        if x.data.ndim == 3:
-            if x.data.shape[1] != self.num_features:
-                raise DimensionError(
-                    f"expected {self.num_features} channels, got {x.data.shape}"
-                )
-            return (0, 2), (1, self.num_features, 1)
-        raise DimensionError(f"BatchNorm1d needs rank 2 or 3 input, got {x.data.shape}")
-
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        axes, pshape = self._axes_and_shape(x)
-        gamma = ad.reshape(self.gamma, pshape)
-        beta = ad.reshape(self.beta, pshape)
+    def forward(self, x: Tensor, train: bool = False, relu: bool = False) -> Tensor:
+        running = None if train else (self.running_mean, self.running_var)
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running, relu=relu)
         if train:
-            if x.data.shape[0] < 2:
-                raise DimensionError(
-                    "train-mode BatchNorm1d needs batch size >= 2 to estimate variance"
-                )
-            mu = x.mean(axis=axes, keepdims=True)
-            var = ad.square(x - mu).mean(axis=axes, keepdims=True)
             m = self.momentum
             self.running_mean = (
-                (1.0 - m) * self.running_mean
-                + m * mu.data.reshape(-1).astype(np.float32)
+                (1.0 - m) * self.running_mean + m * mean.astype(np.float32)
             ).astype(np.float32)
             self.running_var = (
-                (1.0 - m) * self.running_var
-                + m * var.data.reshape(-1).astype(np.float32)
+                (1.0 - m) * self.running_var + m * var.astype(np.float32)
             ).astype(np.float32)
-        else:
-            mu = Tensor(self.running_mean.astype(x.dtype).reshape(pshape))
-            var = Tensor(self.running_var.astype(x.dtype).reshape(pshape))
-        inv_std = ad.powf(var + self.eps, -0.5)
-        return (x - mu) * inv_std * gamma + beta
+        return out
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}gamma", self.gamma), (f"{prefix}beta", self.beta)]
@@ -238,8 +212,13 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, train=train)
+        fused = False
+        for layer, nxt in zip(self.layers, self.layers[1:] + [None]):
+            if fused:  # this ReLU already ran inside the preceding batch norm
+                fused = False
+                continue
+            fused = isinstance(layer, BatchNorm1d) and isinstance(nxt, ReLU)
+            x = layer.forward(x, train=train, relu=True) if fused else layer(x, train=train)
         return x
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:

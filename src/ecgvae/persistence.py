@@ -13,6 +13,7 @@ wall clock, locale, or library versions).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -37,6 +38,7 @@ DATASET_MAGIC = b"ECGC"
 MODEL_MAGIC = b"ECGV"
 RECORD_MAGIC = b"ECGR"
 FORMAT_VERSION = 1
+MAX_TENSOR_RANK = 32  # numpy 1.x's array rank limit; checkpoints hold rank <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,24 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.kind}: {what} is not UTF-8: {e}") from e
+
+    def shape(self) -> tuple[int, ...]:
+        """A uint8 rank followed by that many uint32 sizes."""
+        (ndim,) = self.unpack("<B")
+        if ndim > MAX_TENSOR_RANK:
+            raise FormatError(f"{self.kind}: tensor rank {ndim} exceeds {MAX_TENSOR_RANK}")
+        return self.unpack(f"<{ndim}I")
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A little-endian float32 array of `shape`, copied out of the body."""
+        raw = self.take(math.prod(shape) * 4)  # Python ints: no overflow on hostile sizes
+        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+
     def done(self) -> None:
         if self.pos != len(self.body):
             raise FormatError(
@@ -129,20 +149,20 @@ def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]
     r = _Reader(_unwrap(buf, DATASET_MAGIC, "dataset"), "dataset")
     version, length, n, fs, flags = r.unpack("<HIQfB")
     _check_version(version, "dataset")
-    raw = r.take(int(n) * int(length) * 4)
-    cycles = np.frombuffer(raw, dtype="<f4").reshape(int(n), int(length)).copy()
+    cycles = r.floats((n, length))
     ids = None
     if flags & 1:
         (blob_len,) = r.unpack("<Q")
+        blob = r.take(blob_len)
         try:
-            entries = json.loads(r.take(int(blob_len)).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            # JSON that parses but is not a list of (id, lead) pairs fails here too
+            ids = [(str(rid), int(lid)) for rid, lid in json.loads(blob)]
+        except (TypeError, ValueError) as e:  # ValueError covers JSON and UTF-8 errors
             raise FormatError(f"dataset: bad id footer: {e}") from e
-        if len(entries) != n:
+        if len(ids) != n:
             raise IntegrityError(
-                f"dataset: footer has {len(entries)} ids for {n} cycles"
+                f"dataset: footer has {len(ids)} ids for {n} cycles"
             )
-        ids = [(str(rid), int(lid)) for rid, lid in entries]
     r.done()
     return cycles, float(fs), ids
 
@@ -165,9 +185,8 @@ def load_record(path) -> EcgRecord:
     r = _Reader(_unwrap(buf, RECORD_MAGIC, "record"), "record")
     version, n_leads, n_samples, fs, id_len = r.unpack("<HHQfH")
     _check_version(version, "record")
-    rid = r.take(id_len).decode("utf-8")
-    raw = r.take(int(n_leads) * int(n_samples) * 4)
-    leads = np.frombuffer(raw, dtype="<f4").reshape(int(n_leads), int(n_samples)).copy()
+    rid = r.text(id_len, "record id")
+    leads = r.floats((n_leads, n_samples))
     r.done()
     return EcgRecord(leads, float(fs), rid)
 
@@ -219,11 +238,8 @@ def load_model(path) -> VaeModel:
     loaded: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        raw = r.take(int(np.prod(shape, dtype=np.int64)) * 4)
-        loaded[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        name = r.text(name_len, "tensor name")
+        loaded[name] = r.floats(r.shape())
     r.done()
 
     try:

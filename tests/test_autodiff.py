@@ -95,6 +95,24 @@ class TestOpGradients:
 
         assert max_grad_rel_err(loss, [x]) < TOL
 
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6)])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_batch_norm(self, shape, relu, train, rng):
+        x = leaf(rng, shape)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
+        beta = Tensor(0.3 * rng.standard_normal(4), requires_grad=True)
+        running = None if train else (rng.standard_normal(4), rng.uniform(0.5, 2.0, 4))
+        # elementwise weights break the symmetry that makes sum(out^2) constant
+        c = Tensor(rng.standard_normal(shape))
+
+        def loss():
+            out, _, _ = ad.batch_norm(x, gamma, beta, 1e-5, running, relu=relu)
+            # the offset keeps the loss gradient nonzero where ReLU outputs 0
+            return ((out + 0.5) * c).square().sum()
+
+        assert max_grad_rel_err(loss, [x, gamma, beta]) < TOL
+
     def test_upsample(self, rng):
         x = leaf(rng, (2, 2, 6))
 
@@ -168,6 +186,24 @@ class TestNumericsGuard:
         x = Tensor(np.array([np.nan]))
         with pytest.raises(NumericsError):
             x * 1.0
+
+    def test_batch_norm_variance_overflow_raises(self):
+        # finite float32 inputs whose variance overflows: without the check the
+        # output would silently collapse to beta
+        x = Tensor(np.array([[1e25], [-1e25]], dtype=np.float32))
+        one = Tensor(np.ones(1, dtype=np.float32))
+        zero = Tensor(np.zeros(1, dtype=np.float32))
+        with pytest.raises(NumericsError, match="batch_norm"):
+            ad.batch_norm(x, one, zero, 1e-5)
+
+    def test_batch_norm_relu_does_not_hide_overflow(self):
+        # -3e38 * 10 overflows to -inf, which a plain max(., 0) would turn into 0
+        x = Tensor(np.array([[-3e38], [1.0]], dtype=np.float32))
+        gamma = Tensor(np.full(1, 10.0, dtype=np.float32))
+        beta = Tensor(np.zeros(1, dtype=np.float32))
+        running = (np.zeros(1, dtype=np.float32), np.ones(1, dtype=np.float32))
+        with pytest.raises(NumericsError, match="batch_norm"):
+            ad.batch_norm(x, gamma, beta, 1e-5, running, relu=True)
 
     def test_finite_path_passes(self, rng):
         x = Tensor(rng.standard_normal((10,)))

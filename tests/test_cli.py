@@ -1,7 +1,10 @@
 """CLI exit codes, artifact writing, config precedence, error categories."""
 
+import struct
 import subprocess
 import sys
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -86,11 +89,15 @@ class TestTrain:
         # astronomically scaled cycles overflow float32 in the first forward
         huge = tmp_path / "huge.ecgc"
         save_dataset(huge, np.full((8, 400), 1e25, dtype=np.float32))
-        code = main(["train", "--data", str(huge), "--out",
-                     str(tmp_path / "m.ecgv"), "--seed", "1", "--epochs", "1",
-                     "--batch-size", "4", "--quiet"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(huge), "--out",
+                         str(tmp_path / "m.ecgv"), "--seed", "1", "--epochs", "1",
+                         "--batch-size", "4", "--quiet"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numeric:")
+        # the overflow is reported once, as the error above, not as numpy warnings
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_epochs_value(self, pipeline, tmp_path):
         _, _, dataset, _ = pipeline
@@ -115,6 +122,17 @@ class TestGenerate:
     def test_missing_model_file(self, tmp_path):
         assert main(["generate", "--model", str(tmp_path / "none.ecgv"),
                      "--seed", "1", "--out", str(tmp_path / "g.ecgc")]) == 2
+
+    def test_checkpoint_with_non_utf8_tensor_name_is_exit_2(self, pipeline, tmp_path):
+        # a CRC-valid body whose first tensor name is not UTF-8
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        body[2 + 4 + blob_len + 4 + 2] = 0xFF
+        bad = tmp_path / "bad.ecgv"
+        bad.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
 
 
 class TestEncode:

@@ -1,9 +1,16 @@
-"""Kernel-level checks: hand oracles, backend agreement, pooling semantics."""
+"""Kernel-level checks: hand and naive-loop oracles, pooling semantics."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecgvae import kernels
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConvForward:
@@ -38,47 +45,82 @@ class TestConvForward:
         np.testing.assert_allclose(y, expect, atol=1e-12)
 
 
-class TestBackendAgreement:
-    shapes = [(2, 1, 16, 400, 5, 1), (3, 16, 32, 200, 5, 1),
-              (2, 3, 4, 17, 3, 2), (1, 1, 1, 4, 3, 1), (2, 2, 2, 9, 1, 1)]
+def naive_conv(x, w, stride):
+    """Loop oracle for conv1d_fwd: zero-padded cross-correlation."""
+    b, ci, length = x.shape
+    co, _, k = w.shape
+    pad = (k - 1) // 2
+    lout = kernels.conv_out_len(length, stride)
+    y = np.zeros((b, co, lout))
+    for bb in range(b):
+        for o in range(co):
+            for t in range(lout):
+                for i in range(ci):
+                    for kk in range(k):
+                        pos = t * stride + kk - pad
+                        if 0 <= pos < length:
+                            y[bb, o, t] += w[o, i, kk] * x[bb, i, pos]
+    return y
 
-    @pytest.mark.parametrize("b,ci,co,length,k,stride", shapes)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_conv_fwd_and_bwd_match(self, b, ci, co, length, k, stride, dtype, rng):
-        if len(kernels.available_backends()) < 2:
-            pytest.skip("only one backend importable")
-        x = rng.standard_normal((b, ci, length)).astype(dtype)
-        w = rng.standard_normal((co, ci, k)).astype(dtype)
-        lout = kernels.conv_out_len(length, stride)
-        dy = rng.standard_normal((b, co, lout)).astype(dtype)
-        xp = kernels._pad_same(x, k)
-        tol = 1e-4 if dtype == np.float32 else 1e-10
-        results = {}
-        for name in kernels.available_backends():
-            impl = kernels.get_impl(name)
-            y = impl["conv_fwd"](xp, w, stride, lout)
-            dx, dw = impl["conv_bwd"](xp, w, stride, dy)
-            results[name] = (y, dx, dw)
-        (y1, dx1, dw1), (y2, dx2, dw2) = results.values()
-        scale = max(1.0, np.abs(y1).max())
-        assert np.abs(y1 - y2).max() / scale < tol
-        assert np.abs(dx1 - dx2).max() / max(1.0, np.abs(dx1).max()) < tol
-        assert np.abs(dw1 - dw2).max() / max(1.0, np.abs(dw1).max()) < tol
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pool_matches_across_backends(self, dtype, rng):
-        if len(kernels.available_backends()) < 2:
-            pytest.skip("only one backend importable")
-        x = rng.standard_normal((3, 4, 21)).astype(dtype)
-        outs = []
-        for name in kernels.available_backends():
-            impl = kernels.get_impl(name)
-            y, idx = impl["pool_fwd"](x, 2, 10)
-            dx = impl["pool_bwd"](y, idx, 21)
-            outs.append((y, idx, dx))
-        np.testing.assert_array_equal(outs[0][0], outs[1][0])
-        np.testing.assert_array_equal(outs[0][1], outs[1][1])
-        np.testing.assert_array_equal(outs[0][2], outs[1][2])
+def naive_conv_bwd(x, w, stride, dy):
+    """Loop oracle for conv1d_bwd: every tap sends dy back to its input and weight."""
+    b, ci, length = x.shape
+    co, _, k = w.shape
+    pad = (k - 1) // 2
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for bb in range(b):
+        for o in range(co):
+            for t in range(dy.shape[2]):
+                for i in range(ci):
+                    for kk in range(k):
+                        pos = t * stride + kk - pad
+                        if 0 <= pos < length:
+                            dx[bb, i, pos] += w[o, i, kk] * dy[bb, o, t]
+                            dw[o, i, kk] += x[bb, i, pos] * dy[bb, o, t]
+    return dx, dw
+
+
+def naive_pool(x, width):
+    """Loop oracle for max pooling: pooled values and the position of each first maximum."""
+    b, c, length = x.shape
+    lout = length // width
+    y = np.zeros((b, c, lout))
+    first = np.zeros((b, c, lout), dtype=np.int64)
+    for bb in range(b):
+        for cc in range(c):
+            for t in range(lout):
+                win = list(x[bb, cc, t * width:(t + 1) * width])
+                y[bb, cc, t] = max(win)
+                first[bb, cc, t] = t * width + win.index(max(win))
+    return y, first
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("length", [7, 11])
+    def test_fwd_and_bwd_match_loops(self, k, stride, length, rng):
+        x = rng.standard_normal((2, 3, length))
+        w = rng.standard_normal((4, 3, k))
+        dy = rng.standard_normal((2, 4, kernels.conv_out_len(length, stride)))
+        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, stride),
+                                   naive_conv(x, w, stride), rtol=0, atol=1e-12)
+        dx, dw = kernels.conv1d_bwd(x, w, stride, dy)
+        dx_ref, dw_ref = naive_conv_bwd(x, w, stride, dy)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-12)
+
+    def test_kernel_wider_than_input(self, rng):
+        # every tap but the center reads padding, at both ends
+        x = rng.standard_normal((1, 2, 2))
+        w = rng.standard_normal((3, 2, 5))
+        dy = rng.standard_normal((1, 3, 2))
+        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, 1), naive_conv(x, w, 1),
+                                   rtol=0, atol=1e-12)
+        for got, ref in zip(kernels.conv1d_bwd(x, w, 1, dy), naive_conv_bwd(x, w, 1, dy)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_repeat_call_is_bit_identical(self, rng):
         x = rng.standard_normal((4, 8, 100)).astype(np.float32)
@@ -93,18 +135,35 @@ class TestBackendAgreement:
         np.testing.assert_array_equal(d1[1], d2[1])
 
 
+class TestPoolOracle:
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("length", [12, 13, 14])
+    def test_fwd_and_bwd_match_loops(self, width, length, rng):
+        # values from {0, 1, 2} make ties common; lengths leave remainders 0-2
+        x = rng.integers(0, 3, (3, 4, length)).astype(np.float64)
+        dy = rng.standard_normal((3, 4, length // width))
+        y, route = kernels.maxpool1d_fwd(x, width)
+        y_ref, first = naive_pool(x, width)
+        np.testing.assert_array_equal(y, y_ref)
+        dx_ref = np.zeros_like(x)
+        np.put_along_axis(dx_ref, first, dy, axis=2)
+        np.testing.assert_array_equal(kernels.maxpool1d_bwd(dy, route, length), dx_ref)
+
+
 class TestMaxPool:
     def test_hand_example(self):
-        # [3,1,4,1,5,9] pooled by 2 -> [3,4,9]; argmax keeps first on ties
+        # [3,1,4,1,5,9] pooled by 2 -> [3,4,9]; the gradient goes to each maximum
         x = np.array([[[3.0, 1.0, 4.0, 1.0, 5.0, 9.0]]], dtype=np.float32)
-        y, idx = kernels.maxpool1d_fwd(x, 2)
+        y, route = kernels.maxpool1d_fwd(x, 2)
         np.testing.assert_array_equal(y, [[[3.0, 4.0, 9.0]]])
-        np.testing.assert_array_equal(idx, [[[0, 2, 5]]])
+        dx = kernels.maxpool1d_bwd(np.array([[[10.0, 20.0, 30.0]]], dtype=np.float32), route, 6)
+        np.testing.assert_array_equal(dx, [[[10.0, 0.0, 20.0, 0.0, 0.0, 30.0]]])
 
     def test_tie_keeps_first_index(self):
         x = np.array([[[7.0, 7.0, 2.0, 2.0]]], dtype=np.float32)
-        _, idx = kernels.maxpool1d_fwd(x, 2)
-        np.testing.assert_array_equal(idx, [[[0, 2]]])
+        _, route = kernels.maxpool1d_fwd(x, 2)
+        dx = kernels.maxpool1d_bwd(np.array([[[1.0, 2.0]]], dtype=np.float32), route, 4)
+        np.testing.assert_array_equal(dx, [[[1.0, 0.0, 2.0, 0.0]]])
 
     def test_trailing_remainder_dropped(self, rng):
         x = rng.standard_normal((1, 1, 7)).astype(np.float32)
@@ -126,5 +185,11 @@ class TestMaxPool:
         assert np.isclose(dx.sum(), dy.sum())
 
 
-def test_backend_name_is_available():
-    assert kernels.backend_name() in kernels.available_backends()
+def test_kernel_benchmark_quick_run():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--quick"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    for label in ("enc conv1  1->16 L400", "dec conv4 16->1 L200", "enc pool4 128ch L50"):
+        assert label in res.stdout

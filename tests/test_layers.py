@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import max_grad_rel_err
+from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError
 from ecgvae.layers import (
@@ -171,6 +172,15 @@ class TestSequential:
         out = seq(Tensor(rng.standard_normal((4, 8)).astype(np.float32)), train=True)
         assert out.data.shape == (4, 4)
         assert (out.data >= 0).all()
+
+    def test_batchnorm_relu_pair_runs_as_one_op(self, rng):
+        bn = BatchNorm1d(3)
+        seq = Sequential([bn, ReLU()])
+        x = Tensor(rng.standard_normal((4, 3, 10)).astype(np.float32))
+        for train in (True, False):
+            out = seq(x, train=train)
+            assert out.op == "batch_norm" and out._parents[0] is x
+            np.testing.assert_array_equal(out.data, ad.relu(bn(x, train=train)).data)
 
     def test_encoder_shape_algebra_400_to_25(self, rng):
         # four conv/pool halvings then a width-1 collapse: 400 -> 25 x 1 channel

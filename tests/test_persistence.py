@@ -1,5 +1,8 @@
 """File format roundtrips, corruption handling, CSV and SVG determinism."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,14 @@ def corrupt_byte(path, offset: int) -> None:
     data = bytearray(path.read_bytes())
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def rewrite_body(path, edit) -> None:
+    """Apply edit(bytearray) to the body and re-seal it with a valid CRC32."""
+    raw = path.read_bytes()
+    body = bytearray(raw[4:-4])
+    edit(body)
+    path.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
 
 class TestDatasetFormat:
@@ -112,6 +123,19 @@ class TestDatasetFormat:
         with pytest.raises(FormatError):
             load_dataset(p)
 
+    @pytest.mark.parametrize("footer", [b"5", b"[[1]]", b'[["a", "x"]]', b"\xff"])
+    def test_malformed_id_footer_with_valid_crc(self, tmp_path, footer):
+        p = tmp_path / "d.ecgc"
+        save_dataset(p, np.zeros((1, 8), dtype=np.float32), ids=[("a", 0)])
+        end = struct.calcsize("<HIQfB") + 8 * 4
+
+        def edit(body):
+            body[end:] = struct.pack("<Q", len(footer)) + footer
+
+        rewrite_body(p, edit)
+        with pytest.raises(FormatError, match="bad id footer"):
+            load_dataset(p)
+
     def test_rank_validation(self, tmp_path):
         with pytest.raises(DimensionError):
             save_dataset(tmp_path / "x.ecgc", np.zeros(10, dtype=np.float32))
@@ -136,6 +160,16 @@ class TestRecordFormat:
         save_record(p, EcgRecord(rng.standard_normal((1, 500)).astype(np.float32)))
         corrupt_byte(p, 100)
         with pytest.raises(IntegrityError):
+            load_record(p)
+
+
+    def test_non_utf8_id_with_valid_crc(self, tmp_path, rng):
+        p = tmp_path / "r.ecgr"
+        save_record(p, EcgRecord(rng.standard_normal((1, 50)).astype(np.float32),
+                                 500.0, "rec_0001"))
+        head = struct.calcsize("<HHQfH")
+        rewrite_body(p, lambda body: body.__setitem__(head, 0xFF))
+        with pytest.raises(FormatError, match="record id is not UTF-8"):
             load_record(p)
 
 
@@ -176,6 +210,32 @@ class TestModelCheckpoint:
         save_model(p, model)
         corrupt_byte(p, p.stat().st_size - 10)
         with pytest.raises(IntegrityError):
+            load_model(p)
+
+    @staticmethod
+    def first_tensor_offset(body: bytes) -> int:
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        return 2 + 4 + blob_len + 4  # version, manifest, tensor count
+
+    def test_non_utf8_tensor_name_with_valid_crc(self, tmp_path):
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+        rewrite_body(p, lambda body: body.__setitem__(self.first_tensor_offset(body) + 2, 0xFF))
+        with pytest.raises(FormatError, match="tensor name is not UTF-8"):
+            load_model(p)
+
+    @pytest.mark.parametrize("rank", [33, 65, 255])
+    def test_tensor_rank_out_of_bounds_with_valid_crc(self, tmp_path, rank):
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+
+        def edit(body):
+            at = self.first_tensor_offset(body)
+            (name_len,) = struct.unpack_from("<H", body, at)
+            body[at + 2 + name_len] = rank
+
+        rewrite_body(p, edit)
+        with pytest.raises(FormatError, match="tensor rank"):
             load_model(p)
 
     def test_wrong_magic(self, tmp_path, rng):
