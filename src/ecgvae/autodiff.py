@@ -261,17 +261,6 @@ def square(x: Tensor) -> Tensor:
     return _node(out_data, (x,), bwd, "square")
 
 
-def powf(x: Tensor, p: float) -> Tensor:
-    """x ** p for strictly positive x."""
-    out_data = np.power(x.data, p)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (p * np.power(x.data, p - 1.0)))
-
-    return _node(out_data, (x,), bwd, "powf")
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 

@@ -36,7 +36,6 @@ from .errors import DimensionError, FormatError, NumericsError, StateError  # no
 from .experiments import sample_synthetic, traversal_sweep  # noqa: E402
 from .metrics import compare_sets  # noqa: E402
 from .model import encode_batch  # noqa: E402
-from .preprocess import preprocess_records  # noqa: E402
 from .synth import DEFAULT_FS, gen_corpus  # noqa: E402
 from .training import DEFAULT_BETA_KL, TrainConfig, train  # noqa: E402
 
@@ -213,6 +212,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    from .preprocess import preprocess_records  # on demand: its imports dominate cold start
+
     opt = _Options(args)
     half_width = _positive(opt.get("half_width", int, 200), "--half-width")
     in_dir: Path = args.in_dir
@@ -223,6 +224,10 @@ def _cmd_preprocess(args) -> int:
         raise FormatError(f"no .ecgr records in {in_dir}")
     records = [persistence.load_record(f) for f in files]
     fs = records[0].sampling_rate_hz
+    for f, record in zip(files, records):
+        if record.sampling_rate_hz != fs:
+            raise FormatError(f"{f.name} is sampled at {record.sampling_rate_hz:g} Hz, "
+                              f"{files[0].name} at {fs:g} Hz")
     cycles, meta, stats = preprocess_records(records, half_width=half_width)
     if cycles.shape[0] == 0:
         raise FormatError("preprocessing produced zero cycles")

@@ -1,9 +1,11 @@
 """Distribution comparison: RBF kernel, median-heuristic bandwidth, MMD^2.
 
-All statistics run in float64 over deterministic pair orderings. The biased
-(V-statistic) estimator is non-negative by construction and exactly zero when
-both samples are identical; the unbiased variant drops diagonal terms and may
-go slightly negative.
+Everything runs in float64. The biased (V-statistic) MMD^2 (Gretton et al.
+2012, JMLR) is >= 0 and exactly 0 for identical samples; the unbiased one
+drops diagonal terms and may dip below 0. Squared distances use
+||x||^2 + ||y||^2 - 2 x.y, clamped at 0. The product is always a gemm:
+numpy runs `x @ x.T` as a syrk, which rounds differently, and MMD^2(X, copy
+of X) is exactly 0 only when every pairing's Gram matrix rounds the same way.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import DimensionError, NumericsError
 
@@ -29,6 +30,15 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All squared distances ||x_i - y_j||^2 as ||x||^2 + ||y||^2 - 2 x.y, >= 0."""
+    # the fresh -2x keeps numpy off the syrk path when y is x; the scaling is exact
+    sq = (-2.0 * x) @ y.T
+    sq += np.einsum("ij,ij->i", x, x)[:, None]
+    sq += np.einsum("ij,ij->i", y, y)
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Gram matrix k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
     if sigma <= 0:
@@ -37,8 +47,9 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     y = _as_matrix(y, "y")
     if x.shape[1] != y.shape[1]:
         raise DimensionError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    sq = cdist(x, y, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    k = _sq_dists(x, y)
+    k /= -2.0 * sigma * sigma
+    return np.exp(k, out=k)
 
 
 def median_heuristic(a, b, max_points: int = 2000, seed: int = 0) -> float:
@@ -59,36 +70,43 @@ def median_heuristic(a, b, max_points: int = 2000, seed: int = 0) -> float:
         pool = pool[np.sort(pick)]
     if pool.shape[0] < 2:
         return 1.0
-    med = float(np.median(pdist(pool, metric="euclidean")))
+    # sqrt before the median: an even pair count averages the two middle values
+    upper = _sq_dists(pool, pool)[np.triu_indices(pool.shape[0], k=1)]
+    med = float(np.median(np.sqrt(upper, out=upper)))
     if med <= 0.0:
         return 1.0
     return med
 
 
-def mmd2_biased(a, b, sigma: float) -> float:
-    """V-statistic MMD^2: mean k(a,a) + mean k(b,b) - 2 mean k(a,b) >= 0."""
+def _mmd2(a, b, sigma: float) -> tuple[float, float]:
+    """(biased, unbiased) MMD^2, one Gram matrix per pairing; unbiased is NaN for 1 row."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
     kaa = rbf_kernel(a, a, sigma)
     kbb = rbf_kernel(b, b, sigma)
     kab = rbf_kernel(a, b, sigma)
-    v = float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
-    return max(v, 0.0)
+    cross = 2.0 * kab.mean()
+    biased = max(float(kaa.mean() + kbb.mean() - cross), 0.0)
+    m, n = a.shape[0], b.shape[0]
+    if m < 2 or n < 2:
+        return biased, float("nan")
+    term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
+    term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
+    return biased, float(term_a + term_b - cross)
+
+
+def mmd2_biased(a, b, sigma: float) -> float:
+    """V-statistic MMD^2: mean k(a,a) + mean k(b,b) - 2 mean k(a,b) >= 0."""
+    return _mmd2(a, b, sigma)[0]
 
 
 def mmd2_unbiased(a, b, sigma: float) -> float:
     """U-statistic MMD^2 (diagonals excluded); needs >= 2 rows per side."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
-    m, n = a.shape[0], b.shape[0]
-    if m < 2 or n < 2:
+    if a.shape[0] < 2 or b.shape[0] < 2:
         raise DimensionError("unbiased MMD^2 needs at least 2 samples per side")
-    kaa = rbf_kernel(a, a, sigma)
-    kbb = rbf_kernel(b, b, sigma)
-    kab = rbf_kernel(a, b, sigma)
-    term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
-    term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-    return float(term_a + term_b - 2.0 * kab.mean())
+    return _mmd2(a, b, sigma)[1]
 
 
 @dataclass
@@ -111,16 +129,14 @@ def compare_sets(a, b, label_a: str = "A", label_b: str = "B",
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
     s = median_heuristic(a, b, seed=seed) if sigma is None else float(sigma)
-    if s <= 0:
-        raise ValueError(f"sigma must be positive, got {s}")
+    biased, unbiased = _mmd2(a, b, s)
     return MmdReport(
         label_a=label_a,
         label_b=label_b,
         n_a=a.shape[0],
         n_b=b.shape[0],
         sigma=s,
-        mmd2_biased=mmd2_biased(a, b, s),
-        mmd2_unbiased=mmd2_unbiased(a, b, s) if min(a.shape[0], b.shape[0]) >= 2
-        else float("nan"),
+        mmd2_biased=biased,
+        mmd2_unbiased=unbiased,
         seed=seed,
     )

@@ -173,7 +173,7 @@ class VaeModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _as_batch(self, x) -> Tensor:
+    def _as_batch(self, x, width: int, what: str) -> Tensor:
         if isinstance(x, Tensor):
             t = x
         else:
@@ -181,15 +181,13 @@ class VaeModel:
             if arr.ndim == 1:
                 arr = arr[None, :]
             t = Tensor(arr)
-        if t.data.ndim != 2 or t.data.shape[1] != self.config.input_len:
-            raise DimensionError(
-                f"expected cycles of shape [n, {self.config.input_len}], got {t.data.shape}"
-            )
+        if t.data.ndim != 2 or t.data.shape[1] != width:
+            raise DimensionError(f"expected {what} of shape [n, {width}], got {t.data.shape}")
         return t
 
     def encode(self, x, train: bool = False) -> tuple[Tensor, Tensor]:
         """Map cycles [B, 400] to posterior (mu, logvar), each [B, 25]."""
-        t = self._as_batch(x)
+        t = self._as_batch(x, self.config.input_len, "cycles")
         b = t.data.shape[0]
         conv = self.enc_conv(ad.reshape(t, (b, 1, self.config.input_len)), train=train)
         conv = ad.reshape(conv, (b, self.config.latent_dim))
@@ -199,17 +197,7 @@ class VaeModel:
 
     def decode(self, z, train: bool = False) -> Tensor:
         """Map latent codes [B, 25] to reconstructed cycles [B, 400]."""
-        if isinstance(z, Tensor):
-            t = z
-        else:
-            arr = np.asarray(z, dtype=self.dtype)
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            t = Tensor(arr)
-        if t.data.ndim != 2 or t.data.shape[1] != self.config.latent_dim:
-            raise DimensionError(
-                f"expected latent codes of shape [n, {self.config.latent_dim}], got {t.data.shape}"
-            )
+        t = self._as_batch(z, self.config.latent_dim, "latent codes")
         b = t.data.shape[0]
         densev = self.dec_dense(t, train=train)
         conv = self.dec_conv(ad.reshape(t, (b, 1, self.config.latent_dim)), train=train)

@@ -239,6 +239,8 @@ def load_model(path) -> VaeModel:
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len, "tensor name")
+        if name in loaded:
+            raise IntegrityError(f"model: tensor '{name}' appears twice")
         loaded[name] = r.floats(r.shape())
     r.done()
 

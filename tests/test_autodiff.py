@@ -45,14 +45,6 @@ class TestOpGradients:
 
         assert max_grad_rel_err(loss, [x]) < TOL
 
-    def test_powf_inverse_sqrt(self, rng):
-        x = Tensor(rng.uniform(0.5, 3.0, (5,)), requires_grad=True)
-
-        def loss():
-            return ad.powf(x, -0.5).sum()
-
-        assert max_grad_rel_err(loss, [x]) < TOL
-
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), ((0, 1), False)])
     def test_reductions(self, axis, keepdims, rng):
         x = leaf(rng, (4, 6))

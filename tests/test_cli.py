@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ecgvae.cli import main
-from ecgvae.persistence import load_dataset, save_dataset
+from ecgvae.data import EcgRecord
+from ecgvae.persistence import load_dataset, save_dataset, save_record
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,17 @@ class TestPreprocess:
         empty.mkdir()
         assert main(["preprocess", "--in", str(empty),
                      "--out", str(tmp_path / "d.ecgc")]) == 2
+
+    def test_mixed_sampling_rates(self, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        strip = np.zeros((1, 5000), dtype=np.float32)
+        save_record(records / "a.ecgr", EcgRecord(strip, 500.0, "a"))
+        save_record(records / "b.ecgr", EcgRecord(strip, 250.0, "b"))
+        out = tmp_path / "d.ecgc"
+        assert main(["preprocess", "--in", str(records), "--out", str(out)]) == 2
+        assert "b.ecgr is sampled at 250 Hz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -133,6 +145,24 @@ class TestGenerate:
         bad.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
         assert main(["generate", "--model", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "g.ecgc")]) == 2
+
+    def test_checkpoint_with_repeated_tensor_name_is_exit_2(self, pipeline, tmp_path, capsys):
+        # a CRC-valid body that lists its first tensor twice
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        at = 2 + 4 + blob_len + 4
+        (name_len,) = struct.unpack_from("<H", body, at)
+        rank = body[at + 2 + name_len]
+        shape = struct.unpack_from(f"<{rank}I", body, at + 3 + name_len)
+        end = at + 3 + name_len + 4 * rank + 4 * int(np.prod(shape))
+        body += body[at:end]
+        struct.pack_into("<I", body, at - 4, struct.unpack_from("<I", body, at - 4)[0] + 1)
+        bad = tmp_path / "bad.ecgv"
+        bad.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
+        assert "appears twice" in capsys.readouterr().err
 
 
 class TestEncode:
@@ -280,3 +310,10 @@ class TestParsing:
         for name in ("synth", "preprocess", "train", "generate", "encode",
                      "traverse", "mmd", "plot"):
             assert name in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy serves R-peak detection only; the other subcommands skip its import cost
+        code = "import sys, ecgvae.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

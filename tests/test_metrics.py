@@ -80,6 +80,15 @@ class TestMedianHeuristic:
         # any subsample should still land near the full-pool median
         assert np.isclose(s1, median_heuristic(a, b, max_points=5000), rtol=0.1)
 
+    @pytest.mark.parametrize("m,n", [(7, 5), (6, 5)])  # 66 pairs (even), 55 (odd)
+    def test_matches_bruteforce_pair_loop(self, rng, m, n):
+        a = rng.standard_normal((m, 9)) * 3.0
+        b = rng.standard_normal((n, 9)) + 1.0
+        pool = np.concatenate([a, b])
+        dists = [np.linalg.norm(pool[i] - pool[j])
+                 for i in range(len(pool)) for j in range(i + 1, len(pool))]
+        np.testing.assert_allclose(median_heuristic(a, b), np.median(dists), rtol=1e-12)
+
 
 class TestMmd:
     def test_matches_bruteforce(self, rng):
@@ -92,6 +101,13 @@ class TestMmd:
     def test_identical_sets_give_zero(self, rng):
         a = rng.standard_normal((40, 25))
         assert mmd2_biased(a, a.copy(), 1.0) <= 1e-12
+
+    def test_copy_of_a_blocked_input_gives_exactly_zero(self, rng):
+        # large enough for BLAS to block the product; the common offset makes
+        # the Gram identity cancel hard, so any rounding difference between the
+        # within-set and cross-set products survives into the statistic
+        a = 100.0 + rng.standard_normal((300, 400))
+        assert mmd2_biased(a, a.copy(), median_heuristic(a, a)) == 0.0
 
     def test_biased_is_non_negative(self, rng):
         for _ in range(10):
@@ -153,6 +169,13 @@ class TestCompareSets:
         rep = compare_sets(a, a, sigma=2.5)
         assert rep.sigma == 2.5
         assert rep.mmd2_biased == 0.0
+
+    def test_fields_equal_standalone_estimators(self, rng):
+        a = rng.standard_normal((30, 25))
+        b = rng.standard_normal((40, 25)) + 0.2
+        rep = compare_sets(a, b, seed=2)
+        assert rep.mmd2_biased == mmd2_biased(a, b, rep.sigma)
+        assert rep.mmd2_unbiased == mmd2_unbiased(a, b, rep.sigma)
 
     def test_singleton_side_reports_nan_unbiased(self, rng):
         rep = compare_sets(np.zeros((1, 3)), rng.standard_normal((5, 3)))

@@ -238,6 +238,26 @@ class TestModelCheckpoint:
         with pytest.raises(FormatError, match="tensor rank"):
             load_model(p)
 
+    def test_repeated_tensor_name_with_valid_crc(self, tmp_path):
+        # a second block under the first tensor's name, filled with 7.0, must not
+        # silently replace the first
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+
+        def edit(body):
+            at = self.first_tensor_offset(body)
+            (name_len,) = struct.unpack_from("<H", body, at)
+            rank = body[at + 2 + name_len]
+            shape = struct.unpack_from(f"<{rank}I", body, at + 3 + name_len)
+            body += body[at:at + 3 + name_len + 4 * rank]
+            body += np.full(shape, 7.0, dtype="<f4").tobytes()
+            (count,) = struct.unpack_from("<I", body, at - 4)
+            struct.pack_into("<I", body, at - 4, count + 1)
+
+        rewrite_body(p, edit)
+        with pytest.raises(IntegrityError, match="enc_conv.00.weight' appears twice"):
+            load_model(p)
+
     def test_wrong_magic(self, tmp_path, rng):
         p = tmp_path / "m.ecgv"
         save_dataset(p, rng.standard_normal((2, 8)).astype(np.float32))
