@@ -3,6 +3,10 @@
 A Tensor wraps an ndarray plus a backward closure and its parents; calling
 backward() on a scalar loss walks the recorded graph in reverse topological
 order and accumulates gradients into every tensor that requires them.
+An op records itself on this tape only when one of its inputs requires grad
+and recording is on; otherwise its output is a plain constant with no
+parents. `recording(False)` turns the tape off for a block, which is how
+eval-mode inference runs the same ops without keeping the graph alive.
 Gradient accumulation is additive on purpose: a tensor consumed by two ops
 receives the sum of both contributions.
 
@@ -19,6 +23,8 @@ cast back.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -181,16 +187,28 @@ def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     return rows.sum(axis=0, dtype=np.float64)
 
 
+_recording: ContextVar[bool] = ContextVar("recording", default=True)  # per thread
+
+
+@contextmanager
+def recording(on: bool):
+    """Record the tape inside the block only if `on`; an outer off still wins.
+
+    Off, each op's backward closure and what it holds (im2col columns, ReLU
+    masks, pool routes) are dropped as soon as the op returns.
+    """
+    token = _recording.set(_recording.get() and on)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str) -> Tensor:
     _check_finite(data, op)
-    req = any(p.requires_grad for p in parents)
-    return Tensor(
-        data,
-        requires_grad=req,
-        _parents=tuple(parents),
-        _backward=bwd if req else None,
-        op=op,
-    )
+    if _recording.get() and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=bwd, op=op)
+    return Tensor(data, op=op)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from . import persistence  # noqa: E402
 from .data import MAX_LEADS  # noqa: E402
 from .errors import DimensionError, FormatError, NumericsError, StateError  # noqa: E402
 from .experiments import sample_synthetic, traversal_sweep  # noqa: E402
-from .metrics import compare_sets  # noqa: E402
+from .metrics import check_sigma, compare_sets  # noqa: E402
 from .model import encode_batch  # noqa: E402
 from .synth import DEFAULT_FS, gen_corpus  # noqa: E402
 from .training import DEFAULT_BETA_KL, TrainConfig, train  # noqa: E402
@@ -317,8 +317,10 @@ def _cmd_mmd(args) -> int:
             sigma = float(sigma_raw)
         except ValueError:
             raise UsageError(f"--sigma must be 'median' or a number, got {sigma_raw!r}")
-        if sigma <= 0:
-            raise UsageError(f"--sigma must be positive, got {sigma}")
+        try:
+            check_sigma(sigma)
+        except ValueError as e:
+            raise UsageError(f"--sigma: {e}")
     a, _, _ = persistence.load_dataset(args.set_a)
     b, _, _ = persistence.load_dataset(args.set_b)
     if a.shape[0] == 0 or b.shape[0] == 0:

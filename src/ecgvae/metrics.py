@@ -39,16 +39,23 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
+def check_sigma(sigma: float) -> float:
+    """The kernel's 2 sigma^2; ValueError unless sigma > 0 and 2 sigma^2 is finite and > 0."""
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0 and 0.0 < two_var < np.inf):  # NaN fails every comparison
+        raise ValueError(f"sigma must be positive with 2 sigma^2 finite and non-zero, got {sigma}")
+    return two_var
+
+
 def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Gram matrix k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    two_var = check_sigma(sigma)
     x = _as_matrix(x, "x")
     y = _as_matrix(y, "y")
     if x.shape[1] != y.shape[1]:
         raise DimensionError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
     k = _sq_dists(x, y)
-    k /= -2.0 * sigma * sigma
+    k /= -two_var
     return np.exp(k, out=k)
 
 

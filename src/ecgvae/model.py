@@ -38,6 +38,10 @@ from .layers import (
 )
 
 
+# the model's layer chains in checkpoint order
+_CHAINS = ("enc_conv", "enc_dense", "mu_head", "logvar_head", "dec_dense", "dec_conv", "out_head")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of the architecture; defaults reproduce the 400->25 stack."""
@@ -185,46 +189,37 @@ class VaeModel:
             raise DimensionError(f"expected {what} of shape [n, {width}], got {t.data.shape}")
         return t
 
+    @staticmethod
+    def _branches(t: Tensor, conv: Sequential, dense: Sequential,
+                  train: bool = False) -> tuple[Tensor, Tensor]:
+        """The (flattened conv branch, dense branch) outputs of a [B, n] batch."""
+        b, n = t.data.shape
+        c = conv(ad.reshape(t, (b, 1, n)), train=train)
+        return ad.reshape(c, (b, int(np.prod(c.data.shape[1:])))), dense(t, train=train)
+
     def encode(self, x, train: bool = False) -> tuple[Tensor, Tensor]:
-        """Map cycles [B, 400] to posterior (mu, logvar), each [B, 25]."""
+        """Map cycles [B, 400] to posterior (mu, logvar), each [B, 25]; no tape in eval."""
         t = self._as_batch(x, self.config.input_len, "cycles")
-        b = t.data.shape[0]
-        conv = self.enc_conv(ad.reshape(t, (b, 1, self.config.input_len)), train=train)
-        conv = ad.reshape(conv, (b, self.config.latent_dim))
-        densev = self.enc_dense(t, train=train)
-        h = ad.concat([conv, densev], axis=1)
-        return self.mu_head(h), self.logvar_head(h)
+        with ad.recording(train):
+            h = ad.concat(self._branches(t, self.enc_conv, self.enc_dense, train), axis=1)
+            return self.mu_head(h), self.logvar_head(h)
 
     def decode(self, z, train: bool = False) -> Tensor:
-        """Map latent codes [B, 25] to reconstructed cycles [B, 400]."""
+        """Map latent codes [B, 25] to reconstructed cycles [B, 400]; no tape in eval."""
         t = self._as_batch(z, self.config.latent_dim, "latent codes")
-        b = t.data.shape[0]
-        densev = self.dec_dense(t, train=train)
-        conv = self.dec_conv(ad.reshape(t, (b, 1, self.config.latent_dim)), train=train)
-        conv = ad.reshape(conv, (b, self.config.input_len))
-        h = ad.concat([densev, conv], axis=1)
-        return self.out_head(h)
+        with ad.recording(train):
+            conv, densev = self._branches(t, self.dec_conv, self.dec_dense, train)
+            return self.out_head(ad.concat([densev, conv], axis=1))
 
     # -- parameter access ----------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
-        out: list[tuple[str, Parameter]] = []
-        out += self.enc_conv.named_parameters("enc_conv.")
-        out += self.enc_dense.named_parameters("enc_dense.")
-        out += self.mu_head.named_parameters("mu_head.")
-        out += self.logvar_head.named_parameters("logvar_head.")
-        out += self.dec_dense.named_parameters("dec_dense.")
-        out += self.dec_conv.named_parameters("dec_conv.")
-        out += self.out_head.named_parameters("out_head.")
-        return out
+        return [item for chain in _CHAINS
+                for item in getattr(self, chain).named_parameters(f"{chain}.")]
 
     def named_state(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        out += self.enc_conv.named_state("enc_conv.")
-        out += self.enc_dense.named_state("enc_dense.")
-        out += self.dec_dense.named_state("dec_dense.")
-        out += self.dec_conv.named_state("dec_conv.")
-        return out
+        return [item for chain in _CHAINS
+                for item in getattr(self, chain).named_state(f"{chain}.")]
 
     def load_state_value(self, name: str, value: np.ndarray) -> None:
         chain, _, rest = name.partition(".")
@@ -250,31 +245,17 @@ class VaeModel:
         }
 
     def architecture_summary(self) -> ArchitectureSummary:
-        """Probe every branch with a dummy batch and report measured widths."""
-        cfg = self.config
-        x = Tensor(np.zeros((2, cfg.input_len), dtype=self.dtype))
-        conv = self.enc_conv(ad.reshape(x, (2, 1, cfg.input_len)))
-        densev = self.enc_dense(x)
-        conv_out = int(np.prod(conv.data.shape[1:]))
-        h = ad.concat([ad.reshape(conv, (2, conv_out)), densev], axis=1)
-        mu = self.mu_head(h)
-        lv = self.logvar_head(h)
-        z = Tensor(np.zeros((2, cfg.latent_dim), dtype=self.dtype))
-        dd = self.dec_dense(z)
-        dc = self.dec_conv(ad.reshape(z, (2, 1, cfg.latent_dim)))
-        dc_out = int(np.prod(dc.data.shape[1:]))
-        hh = ad.concat([dd, ad.reshape(dc, (2, dc_out))], axis=1)
-        y = self.out_head(hh)
+        """Run the branches and encode/decode on a dummy batch; report measured widths."""
+        x = np.zeros((2, self.config.input_len), dtype=self.dtype)
+        z = np.zeros((2, self.config.latent_dim), dtype=self.dtype)
+        ec, ed = (t.shape[1] for t in self._branches(Tensor(x), self.enc_conv, self.enc_dense))
+        dc, dd = (t.shape[1] for t in self._branches(Tensor(z), self.dec_conv, self.dec_dense))
+        mu, lv = self.encode(x)
         return ArchitectureSummary(
-            encoder_conv_out=conv_out,
-            encoder_dense_out=densev.data.shape[1],
-            encoder_concat=h.data.shape[1],
-            mu_dim=mu.data.shape[1],
-            logvar_dim=lv.data.shape[1],
-            decoder_dense_out=dd.data.shape[1],
-            decoder_conv_out=dc_out,
-            decoder_concat=hh.data.shape[1],
-            output_len=y.data.shape[1],
+            encoder_conv_out=ec, encoder_dense_out=ed, encoder_concat=ec + ed,
+            mu_dim=mu.shape[1], logvar_dim=lv.shape[1],
+            decoder_dense_out=dd, decoder_conv_out=dc, decoder_concat=dd + dc,
+            output_len=self.decode(z).shape[1],
         )
 
 

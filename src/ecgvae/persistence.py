@@ -28,6 +28,7 @@ from .errors import (
     DimensionError,
     FormatError,
     IntegrityError,
+    NumericsError,
     TruncatedFileError,
     VersionError,
 )
@@ -102,7 +103,10 @@ class _Reader:
     def floats(self, shape: tuple[int, ...]) -> np.ndarray:
         """A little-endian float32 array of `shape`, copied out of the body."""
         raw = self.take(math.prod(shape) * 4)  # Python ints: no overflow on hostile sizes
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # a zero-size shape whose other sizes numpy cannot hold
+            raise FormatError(f"{self.kind}: bad array shape {shape}: {e}") from e
 
     def done(self) -> None:
         if self.pos != len(self.body):
@@ -128,6 +132,8 @@ def save_dataset(path, cycles: np.ndarray, sampling_rate_hz: float = 500.0,
     cycles = np.ascontiguousarray(np.asarray(cycles, dtype=np.float32))
     if cycles.ndim != 2:
         raise DimensionError(f"cycles must be rank 2, got rank {cycles.ndim}")
+    if cycles.shape[1] == 0:
+        raise DimensionError("cycles have length 0")
     if ids is not None and len(ids) != cycles.shape[0]:
         raise DimensionError(
             f"{len(ids)} ids for {cycles.shape[0]} cycles"
@@ -149,6 +155,8 @@ def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]
     r = _Reader(_unwrap(buf, DATASET_MAGIC, "dataset"), "dataset")
     version, length, n, fs, flags = r.unpack("<HIQfB")
     _check_version(version, "dataset")
+    if length == 0:
+        raise FormatError("dataset: cycle length is 0")
     cycles = r.floats((n, length))
     ids = None
     if flags & 1:
@@ -188,7 +196,10 @@ def load_record(path) -> EcgRecord:
     rid = r.text(id_len, "record id")
     leads = r.floats((n_leads, n_samples))
     r.done()
-    return EcgRecord(leads, float(fs), rid)
+    try:
+        return EcgRecord(leads, float(fs), rid)
+    except (ValueError, NumericsError) as e:  # leads or rate the record type rejects
+        raise IntegrityError(f"record: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +256,10 @@ def load_model(path) -> VaeModel:
     r.done()
 
     try:
-        config = ModelConfig.from_dict(manifest["model_config"])
+        # layer constructors check what ModelConfig does not (e.g. bn_momentum)
+        model = VaeModel.build(ModelConfig.from_dict(manifest["model_config"]), seed=0)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"model: bad model_config in manifest: {e}") from e
-    model = VaeModel.build(config, seed=0)
     if manifest.get("layers") != json.loads(json.dumps(model.layer_specs())):
         raise IntegrityError("model: manifest layer table does not match the "
                              "architecture rebuilt from its config")

@@ -16,7 +16,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import as_cycle_array
 from .errors import DimensionError, NumericsError
-from .model import ModelConfig, VaeModel, kl_node, recon_node, kl_loss, recon_loss
+from .model import (ModelConfig, VaeModel, decode_batch, encode_batch, kl_loss, kl_node,
+                    recon_loss, recon_node)
 from .optim import Adam
 
 # Reconstruction is a per-sample mean over 400 points (order 1e-3 mV^2) while
@@ -62,16 +63,8 @@ class EpochStats:
 
 def _eval_pass(model: VaeModel, cycles: np.ndarray, batch: int) -> tuple[float, float]:
     """Eval-mode recon (decoding the posterior mean) and KL over a split."""
-    n = cycles.shape[0]
-    recon_sum = 0.0
-    kl_sum = 0.0
-    for lo in range(0, n, batch):
-        chunk = cycles[lo:lo + batch]
-        mu, lv = model.encode(chunk)
-        x_hat = model.decode(mu)
-        recon_sum += recon_loss(chunk, x_hat.data) * chunk.shape[0]
-        kl_sum += kl_loss(mu.data, lv.data) * chunk.shape[0]
-    return recon_sum / n, kl_sum / n
+    mu, lv = encode_batch(model, cycles, batch)
+    return recon_loss(cycles, decode_batch(model, mu, batch)), kl_loss(mu, lv)
 
 
 def train(

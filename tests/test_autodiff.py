@@ -157,6 +157,28 @@ class TestGraphSemantics:
         assert c.grad is None
         assert x.grad is not None
 
+    def test_op_on_constants_records_no_parents(self, rng):
+        out = Tensor(rng.standard_normal((3,))) * 2.0
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_recording_off_gives_constants(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with ad.recording(False):
+            with ad.recording(True):  # an outer off wins
+                inner = x * 2.0
+            out = inner.square().sum()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert inner._parents == ()
+        after = x * 2.0
+        assert after.requires_grad and after._parents[0] is x
+
+    def test_recording_restored_after_error(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(NumericsError):
+            with ad.recording(False):
+                x * np.inf
+        assert (x * 2.0).requires_grad
+
     def test_integer_input_is_promoted_to_float32(self):
         t = Tensor(np.array([1, 2, 3]))
         assert t.dtype == np.float32

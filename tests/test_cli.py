@@ -234,6 +234,61 @@ class TestMmd:
                      "--out", str(tmp_path / "r.csv")]) == 1
 
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200", "1e-320", "0"])
+    def test_unusable_sigma_is_rejected_before_loading(self, tmp_path, capsys, sigma):
+        # the datasets do not exist: a usage error must come before any load
+        out = tmp_path / "r.csv"
+        assert main(["mmd", "--a", str(tmp_path / "a.ecgc"), "--b", str(tmp_path / "b.ecgc"),
+                     "--sigma", sigma, "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: usage: --sigma")
+        assert not out.exists()
+
+
+def write_sealed(path, magic: bytes, body: bytes):
+    path.write_bytes(magic + body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+class TestHostileSizes:
+    """CRC-valid files whose declared sizes no array can have, or no cycle should."""
+
+    def test_dataset_of_zero_length_cycles_is_exit_2(self, tmp_path, capsys):
+        for n in (3, 2 ** 63):
+            bad = write_sealed(tmp_path / f"zero_{n}.ecgc", b"ECGC",
+                               struct.pack("<HIQfB", 1, 0, n, 500.0, 0))
+            assert main(["plot", "--data", str(bad), "--indices", "0",
+                         "--out", str(tmp_path / "p.svg")]) == 2
+            assert main(["mmd", "--a", str(bad), "--b", str(bad), "--seed", "0",
+                         "--out", str(tmp_path / "r.csv")]) == 2
+            assert "cycle length is 0" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists() and not (tmp_path / "r.csv").exists()
+
+    def test_record_of_zero_leads_and_2_pow_63_samples_is_exit_2(self, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        write_sealed(records / "a.ecgr", b"ECGR",
+                     struct.pack("<HHQfH", 1, 0, 2 ** 63, 500.0, 1) + b"a")
+        assert main(["preprocess", "--in", str(records),
+                     "--out", str(tmp_path / "d.ecgc")]) == 2
+        assert "bad array shape" in capsys.readouterr().err
+
+    def test_checkpoint_tensor_of_zero_size_and_huge_shape_is_exit_2(self, pipeline, tmp_path,
+                                                                     capsys):
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        at = 2 + 4 + blob_len + 4
+        (name_len,) = struct.unpack_from("<H", body, at)
+        rank = body[at + 2 + name_len]
+        shape = struct.unpack_from(f"<{rank}I", body, at + 3 + name_len)
+        end = at + 3 + name_len + 4 * rank + 4 * int(np.prod(shape))
+        body[at + 2 + name_len:end] = struct.pack("<B4I", 4, 0, *[2 ** 32 - 1] * 3)
+        bad = write_sealed(tmp_path / "bad.ecgv", b"ECGV", bytes(body))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
+        assert "bad array shape" in capsys.readouterr().err
+
+
 class TestPlot:
     def test_renders_selected_cycles(self, pipeline, tmp_path):
         _, _, dataset, _ = pipeline

@@ -50,8 +50,10 @@ class TestRbfKernel:
         assert rbf_kernel(x, y, 5.0)[0, 0] > rbf_kernel(x, y, 0.5)[0, 0]
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            rbf_kernel(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        # 1e-320 squares to 0 and 1e200 to inf, so 2 sigma^2 is no usable bandwidth
+        for sigma in (0.0, -1.0, np.nan, np.inf, 1e-320, 1e200):
+            with pytest.raises(ValueError):
+                rbf_kernel(np.zeros((2, 2)), np.zeros((2, 2)), sigma)
         with pytest.raises(DimensionError):
             rbf_kernel(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
         with pytest.raises(NumericsError):

@@ -136,9 +136,19 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="bad id footer"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("n", [3, 2 ** 63])
+    def test_zero_cycle_length_with_valid_crc(self, tmp_path, n):
+        p = tmp_path / "d.ecgc"
+        body = struct.pack("<HIQfB", 1, 0, n, 500.0, 0)
+        p.write_bytes(b"ECGC" + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="cycle length is 0"):
+            load_dataset(p)
+
     def test_rank_validation(self, tmp_path):
         with pytest.raises(DimensionError):
             save_dataset(tmp_path / "x.ecgc", np.zeros(10, dtype=np.float32))
+        with pytest.raises(DimensionError):
+            save_dataset(tmp_path / "x.ecgc", np.zeros((3, 0), dtype=np.float32))
         with pytest.raises(DimensionError):
             save_dataset(tmp_path / "x.ecgc", np.zeros((2, 4), dtype=np.float32),
                          ids=[("a", 0)])
@@ -170,6 +180,27 @@ class TestRecordFormat:
         head = struct.calcsize("<HHQfH")
         rewrite_body(p, lambda body: body.__setitem__(head, 0xFF))
         with pytest.raises(FormatError, match="record id is not UTF-8"):
+            load_record(p)
+
+
+    def test_zero_size_shape_numpy_cannot_hold_with_valid_crc(self, tmp_path):
+        # 0 leads x 2^63 samples: zero bytes to read, but no array of that shape exists
+        p = tmp_path / "r.ecgr"
+        body = struct.pack("<HHQfH", 1, 0, 2 ** 63, 500.0, 1) + b"a"
+        p.write_bytes(b"ECGR" + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="bad array shape"):
+            load_record(p)
+
+    @pytest.mark.parametrize("at,value", [
+        (struct.calcsize("<HHQ"), struct.pack("<f", float("nan"))),   # sampling rate
+        (struct.calcsize("<HHQ"), struct.pack("<f", -250.0)),
+        (struct.calcsize("<HHQfH") + 8, struct.pack("<f", float("inf"))),  # one sample
+    ])
+    def test_values_the_record_type_rejects_with_valid_crc(self, tmp_path, at, value):
+        p = tmp_path / "r.ecgr"
+        save_record(p, EcgRecord(np.ones((1, 50), dtype=np.float32), 500.0, "rec_0001"))
+        rewrite_body(p, lambda body: body.__setitem__(slice(at, at + 4), value))
+        with pytest.raises(IntegrityError):
             load_record(p)
 
 
@@ -236,6 +267,40 @@ class TestModelCheckpoint:
 
         rewrite_body(p, edit)
         with pytest.raises(FormatError, match="tensor rank"):
+            load_model(p)
+
+    def test_zero_size_tensor_shape_numpy_cannot_hold_with_valid_crc(self, tmp_path):
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+
+        def edit(body):
+            at = self.first_tensor_offset(body)
+            (name_len,) = struct.unpack_from("<H", body, at)
+            rank = body[at + 2 + name_len]
+            shape = struct.unpack_from(f"<{rank}I", body, at + 3 + name_len)
+            end = at + 3 + name_len + 4 * rank + 4 * int(np.prod(shape))
+            body[at + 2 + name_len:end] = struct.pack("<B4I", 4, 0, *[2 ** 32 - 1] * 3)
+
+        rewrite_body(p, edit)
+        with pytest.raises(FormatError, match="bad array shape"):
+            load_model(p)
+
+    @pytest.mark.parametrize("old,new", [
+        (b'"bn_momentum":0.1', b'"bn_momentum":1.1'),
+        (b'"conv_channels":[4,', b'"conv_channels":[0,'),
+        (b'"dec_dense":[16,', b'"dec_dense":[ 0,'),
+    ])
+    def test_config_the_layers_reject_with_valid_crc(self, tmp_path, old, new):
+        # ModelConfig accepts these; the layer constructors do not
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+
+        def edit(body):
+            at = bytes(body).index(old)
+            body[at:at + len(old)] = new
+
+        rewrite_body(p, edit)
+        with pytest.raises(FormatError, match="bad model_config"):
             load_model(p)
 
     def test_repeated_tensor_name_with_valid_crc(self, tmp_path):
