@@ -321,10 +321,13 @@ def _cmd_mmd(args) -> int:
             check_sigma(sigma)
         except ValueError as e:
             raise UsageError(f"--sigma: {e}")
-    a, _, _ = persistence.load_dataset(args.set_a)
-    b, _, _ = persistence.load_dataset(args.set_b)
+    a, fs_a, _ = persistence.load_dataset(args.set_a)
+    b, fs_b, _ = persistence.load_dataset(args.set_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise FormatError("mmd needs non-empty datasets on both sides")
+    if fs_a != fs_b:  # equal-length cycles at different rates span different times
+        raise FormatError(f"{args.set_a.name} is sampled at {fs_a:g} Hz, "
+                          f"{args.set_b.name} at {fs_b:g} Hz")
     report = compare_sets(a, b, label_a=args.set_a.stem, label_b=args.set_b.stem,
                           sigma=sigma, seed=args.seed)
     persistence.write_mmd_report(args.out, report)

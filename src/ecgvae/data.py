@@ -7,6 +7,7 @@ Validation happens in the constructors so downstream code can assume shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,14 @@ class CardiacCycle:
         self.samples = arr
 
 
+def check_sampling_rate(fs: float) -> float:
+    """`fs` as a float; ValueError unless it is finite and above 0."""
+    fs = float(fs)
+    if not 0.0 < fs < math.inf:
+        raise ValueError(f"sampling rate must be positive and finite, got {fs}")
+    return fs
+
+
 @dataclass
 class EcgRecord:
     """Multi-lead strip: leads [n_leads, n_samples] float32 at sampling_rate_hz."""
@@ -59,10 +68,8 @@ class EcgRecord:
             raise DimensionError("record has no samples")
         if not np.isfinite(arr).all():
             raise NumericsError("record contains non-finite samples")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling rate must be positive, got {self.sampling_rate_hz}")
+        self.sampling_rate_hz = check_sampling_rate(self.sampling_rate_hz)
         self.leads = arr
-        self.sampling_rate_hz = float(self.sampling_rate_hz)
 
     @property
     def n_leads(self) -> int:

@@ -1,7 +1,8 @@
 """Network building blocks on top of the autodiff ops.
 
 Layers own Parameter tensors (He-uniform initialized from a caller-supplied
-Generator) and describe themselves via LayerSpec for checkpoint manifests.
+Generator); the model's layer table (model.layer_table) names each layer by
+its class and constructor arguments.
 BatchNorm1d is one autodiff op; it normalizes with the population variance
 (divide by N) and keeps float32 running statistics updated only on
 train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
@@ -11,22 +12,10 @@ checkpoint layout, stays as written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError
-
-
-@dataclass
-class LayerSpec:
-    """Serializable description of one layer: kind plus its hyperparameters."""
-
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
 
 
 class Parameter(Tensor):
@@ -58,9 +47,6 @@ class Layer:
     def named_state(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return []
 
-    def spec(self) -> LayerSpec:
-        return LayerSpec(kind=type(self).__name__)
-
 
 class Dense(Layer):
     """Affine layer y = x W^T + b for rank-2 inputs."""
@@ -69,8 +55,6 @@ class Dense(Layer):
                  dtype=np.float32):
         if in_features < 1 or out_features < 1:
             raise ValueError("Dense sizes must be positive")
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(he_uniform(rng, (out_features, in_features), in_features, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
@@ -79,10 +63,6 @@ class Dense(Layer):
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}weight", self.weight), (f"{prefix}bias", self.bias)]
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("Dense", {"in_features": self.in_features,
-                                   "out_features": self.out_features})
 
 
 class Conv1d(Layer):
@@ -96,9 +76,6 @@ class Conv1d(Layer):
             raise ValueError(f"stride must be >= 1, got {stride}")
         if in_channels < 1 or out_channels < 1:
             raise ValueError("channel counts must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         fan_in = in_channels * kernel_size
         self.weight = Parameter(
@@ -111,12 +88,6 @@ class Conv1d(Layer):
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}weight", self.weight), (f"{prefix}bias", self.bias)]
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("Conv1d", {"in_channels": self.in_channels,
-                                    "out_channels": self.out_channels,
-                                    "kernel_size": self.kernel_size,
-                                    "stride": self.stride})
 
 
 class BatchNorm1d(Layer):
@@ -136,7 +107,6 @@ class BatchNorm1d(Layer):
             raise ValueError(f"momentum must be in (0, 1), got {momentum}")
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
@@ -164,16 +134,6 @@ class BatchNorm1d(Layer):
         return [(f"{prefix}running_mean", self.running_mean),
                 (f"{prefix}running_var", self.running_var)]
 
-    def load_state(self, name: str, value: np.ndarray) -> None:
-        if value.shape != (self.num_features,):
-            raise DimensionError(f"bad running stat shape {value.shape} for {name}")
-        setattr(self, name, value.astype(np.float32))
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("BatchNorm1d", {"num_features": self.num_features,
-                                         "momentum": self.momentum, "eps": self.eps})
-
-
 class ReLU(Layer):
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return ad.relu(x)
@@ -188,9 +148,6 @@ class MaxPool1d(Layer):
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return ad.maxpool1d(x, self.width)
 
-    def spec(self) -> LayerSpec:
-        return LayerSpec("MaxPool1d", {"width": self.width})
-
 
 class UpsampleNearest1d(Layer):
     def __init__(self, factor: int = 2):
@@ -200,9 +157,6 @@ class UpsampleNearest1d(Layer):
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return ad.upsample1d(x, self.factor)
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("UpsampleNearest1d", {"factor": self.factor})
 
 
 class Sequential(Layer):
@@ -232,11 +186,3 @@ class Sequential(Layer):
         for i, layer in enumerate(self.layers):
             out.extend(layer.named_state(f"{prefix}{i:02d}."))
         return out
-
-    def specs(self) -> list[LayerSpec]:
-        return [layer.spec() for layer in self.layers]
-
-    def load_state(self, name: str, value: np.ndarray) -> None:
-        idx, _, rest = name.partition(".")
-        layer = self.layers[int(idx)]
-        layer.load_state(rest, value)  # type: ignore[attr-defined]

@@ -29,7 +29,6 @@ from .layers import (
     Conv1d,
     Dense,
     Layer,
-    LayerSpec,
     MaxPool1d,
     Parameter,
     ReLU,
@@ -59,8 +58,17 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        if self.input_len < 1 or self.latent_dim < 1:
-            raise ValueError("input_len and latent_dim must be positive")
+        # everything the layer constructors reject, so a layer table is valid before any is built
+        for name in ("input_len", "latent_dim", "conv_channels", "kernel_size", "enc_dense",
+                     "dec_dense", "dec_conv_channels", "pool_width", "up_factor"):
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                    raise ValueError(f"{name} must hold ints >= 1, got {value!r}")
+        if not 0.0 < self.bn_momentum < 1.0:
+            raise ValueError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
+        if not self.bn_eps > 0.0:
+            raise ValueError(f"bn_eps must be positive, got {self.bn_eps}")
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd")
         n_pools = len(self.conv_channels)
@@ -84,6 +92,80 @@ class ModelConfig:
         for key in ("conv_channels", "enc_dense", "dec_dense", "dec_conv_channels"):
             d[key] = tuple(d[key])
         return cls(**d)
+
+
+def layer_table(config: ModelConfig) -> dict[str, list[dict]]:
+    """Each chain's layers as {"kind": class name, **constructor arguments}, joints included.
+
+    The one description of the architecture: VaeModel builds its chains from
+    it, save_model writes it as a checkpoint's layer manifest, and load_model
+    checks a file against it before it builds anything.
+    """
+    latent, n = config.latent_dim, config.input_len
+
+    def conv(c_in: int, c_out: int, width: int = config.kernel_size) -> dict:
+        return {"kind": "Conv1d", "in_channels": c_in, "out_channels": c_out,
+                "kernel_size": width, "stride": 1}
+
+    def dense(n_in: int, n_out: int) -> dict:
+        return {"kind": "Dense", "in_features": n_in, "out_features": n_out}
+
+    def norm_relu(width: int) -> list[dict]:
+        return [{"kind": "BatchNorm1d", "num_features": width,
+                 "momentum": config.bn_momentum, "eps": config.bn_eps}, {"kind": "ReLU"}]
+
+    def conv_chain(channels: tuple[int, ...], resample: dict) -> list[dict]:
+        return [spec for a, b in zip(channels, channels[1:])
+                for spec in [conv(a, b), *norm_relu(b), dict(resample)]]
+
+    def dense_chain(widths: tuple[int, ...]) -> list[dict]:
+        return [spec for a, b in zip(widths, widths[1:]) for spec in [dense(a, b), *norm_relu(b)]]
+
+    def join(inputs: list[str], width: int) -> list[dict]:
+        return [{"kind": "Concat", "inputs": inputs, "axis": 1, "width": width}]
+
+    enc_channels = (1,) + config.conv_channels
+    return {
+        "enc_conv": conv_chain(enc_channels, {"kind": "MaxPool1d", "width": config.pool_width})
+        + [conv(enc_channels[-1], 1, 1)],
+        "enc_dense": dense_chain((n,) + config.enc_dense + (latent,)),
+        "enc_join": join(["enc_conv", "enc_dense"], 2 * latent),
+        "mu_head": [dense(2 * latent, latent)],
+        "logvar_head": [dense(2 * latent, latent)],
+        "dec_dense": dense_chain((latent,) + config.dec_dense + (n,)),
+        "dec_conv": conv_chain((1,) + config.dec_conv_channels + (1,),
+                               {"kind": "UpsampleNearest1d", "factor": config.up_factor}),
+        "dec_join": join(["dec_dense", "dec_conv"], 2 * n),
+        "out_head": [dense(2 * n, n)],
+    }
+
+
+_FLOATS = {  # parameters plus running statistics of one layer
+    "Dense": lambda s: s["out_features"] * (s["in_features"] + 1),
+    "Conv1d": lambda s: s["out_channels"] * (s["in_channels"] * s["kernel_size"] + 1),
+    "BatchNorm1d": lambda s: 4 * s["num_features"],
+}
+
+
+def table_floats(table: dict[str, list[dict]]) -> int:
+    """Number of floats in the tensors of a model built from `table`."""
+    return sum(_FLOATS[s["kind"]](s) for chain in table.values() for s in chain
+               if s["kind"] in _FLOATS)
+
+
+_KINDS = {cls.__name__: cls for cls in (Dense, Conv1d, BatchNorm1d, ReLU, MaxPool1d,
+                                        UpsampleNearest1d)}
+
+
+def _layer(spec: dict, rng: np.random.Generator, dtype) -> Layer:
+    """Construct the layer one table entry describes."""
+    cls = _KINDS[spec["kind"]]
+    args = {key: v for key, v in spec.items() if key != "kind"}
+    if cls in (Dense, Conv1d):
+        args["rng"] = rng
+    if cls in (Dense, Conv1d, BatchNorm1d):
+        args["dtype"] = dtype
+    return cls(**args)
 
 
 @dataclass
@@ -115,57 +197,11 @@ class VaeModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        k = config.kernel_size
-
-        enc_conv: list[Layer] = []
-        c_in = 1
-        for c_out in config.conv_channels:
-            enc_conv += [
-                Conv1d(c_in, c_out, k, rng=rng, dtype=dtype),
-                BatchNorm1d(c_out, config.bn_momentum, config.bn_eps, dtype=dtype),
-                ReLU(),
-                MaxPool1d(config.pool_width),
-            ]
-            c_in = c_out
-        enc_conv.append(Conv1d(c_in, 1, 1, rng=rng, dtype=dtype))
-        self.enc_conv = Sequential(enc_conv)
-
-        enc_dense: list[Layer] = []
-        widths = (config.input_len,) + config.enc_dense + (config.latent_dim,)
-        for a, b in zip(widths[:-1], widths[1:]):
-            enc_dense += [
-                Dense(a, b, rng=rng, dtype=dtype),
-                BatchNorm1d(b, config.bn_momentum, config.bn_eps, dtype=dtype),
-                ReLU(),
-            ]
-        self.enc_dense = Sequential(enc_dense)
-
-        self.mu_head = Dense(2 * config.latent_dim, config.latent_dim, rng=rng, dtype=dtype)
-        self.logvar_head = Dense(2 * config.latent_dim, config.latent_dim, rng=rng, dtype=dtype)
-
-        dec_dense: list[Layer] = []
-        widths = (config.latent_dim,) + config.dec_dense + (config.input_len,)
-        for a, b in zip(widths[:-1], widths[1:]):
-            dec_dense += [
-                Dense(a, b, rng=rng, dtype=dtype),
-                BatchNorm1d(b, config.bn_momentum, config.bn_eps, dtype=dtype),
-                ReLU(),
-            ]
-        self.dec_dense = Sequential(dec_dense)
-
-        dec_conv: list[Layer] = []
-        c_in = 1
-        for c_out in config.dec_conv_channels + (1,):
-            dec_conv += [
-                Conv1d(c_in, c_out, k, rng=rng, dtype=dtype),
-                BatchNorm1d(c_out, config.bn_momentum, config.bn_eps, dtype=dtype),
-                ReLU(),
-                UpsampleNearest1d(config.up_factor),
-            ]
-            c_in = c_out
-        self.dec_conv = Sequential(dec_conv)
-
-        self.out_head = Dense(2 * config.input_len, config.input_len, rng=rng, dtype=dtype)
+        table = layer_table(config)
+        for chain in _CHAINS:  # checkpoint order is construction order: He draws follow it
+            layers = [_layer(spec, rng, dtype) for spec in table[chain]]
+            # a head is one bare Dense, so its tensors are named like mu_head.weight
+            setattr(self, chain, layers[0] if chain.endswith("_head") else Sequential(layers))
 
         self.train_seed: Optional[int] = None
         self.train_config_dict: Optional[dict] = None
@@ -220,29 +256,6 @@ class VaeModel:
     def named_state(self) -> list[tuple[str, np.ndarray]]:
         return [item for chain in _CHAINS
                 for item in getattr(self, chain).named_state(f"{chain}.")]
-
-    def load_state_value(self, name: str, value: np.ndarray) -> None:
-        chain, _, rest = name.partition(".")
-        getattr(self, chain).load_state(rest, value)
-
-    def layer_specs(self) -> dict[str, list[dict]]:
-        """Ordered manifest of every block, including the two concat joints."""
-        def dump(seq: Sequential) -> list[dict]:
-            return [{"kind": s.kind, **s.params} for s in seq.specs()]
-
-        return {
-            "enc_conv": dump(self.enc_conv),
-            "enc_dense": dump(self.enc_dense),
-            "enc_join": [{"kind": "Concat", "inputs": ["enc_conv", "enc_dense"],
-                          "axis": 1, "width": 2 * self.config.latent_dim}],
-            "mu_head": [{"kind": "Dense", **self.mu_head.spec().params}],
-            "logvar_head": [{"kind": "Dense", **self.logvar_head.spec().params}],
-            "dec_dense": dump(self.dec_dense),
-            "dec_conv": dump(self.dec_conv),
-            "dec_join": [{"kind": "Concat", "inputs": ["dec_dense", "dec_conv"],
-                          "axis": 1, "width": 2 * self.config.input_len}],
-            "out_head": [{"kind": "Dense", **self.out_head.spec().params}],
-        }
 
     def architecture_summary(self) -> ArchitectureSummary:
         """Run the branches and encode/decode on a dummy batch; report measured widths."""

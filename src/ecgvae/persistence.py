@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -22,7 +23,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .data import EcgRecord
+from .data import EcgRecord, check_sampling_rate
 from .errors import (
     BadMagicError,
     DimensionError,
@@ -32,7 +33,7 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
-from .model import ModelConfig, VaeModel
+from .model import ModelConfig, VaeModel, layer_table, table_floats
 from .training import EpochStats
 
 DATASET_MAGIC = b"ECGC"
@@ -122,6 +123,29 @@ def _check_version(version: int, kind: str) -> None:
         )
 
 
+def _write(path, data: bytes) -> None:
+    """Write `data` to a sibling temp file, then rename it over `path`.
+
+    A reader, or a run that dies mid-write, sees the old file or the new one,
+    never a part. A symlink is followed. A path that exists and is not a
+    regular file (/dev/null, a pipe) is written in place, since renaming over
+    it would replace it.
+    """
+    path = Path(path)
+    if path.is_symlink():
+        path = path.resolve()  # replace the link's target, not the link
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # cycle dataset (.ecgc)
 
@@ -134,19 +158,21 @@ def save_dataset(path, cycles: np.ndarray, sampling_rate_hz: float = 500.0,
         raise DimensionError(f"cycles must be rank 2, got rank {cycles.ndim}")
     if cycles.shape[1] == 0:
         raise DimensionError("cycles have length 0")
+    with np.errstate(over="ignore"):  # the rate as the file stores it: too large is inf
+        fs = check_sampling_rate(np.float32(sampling_rate_hz))
     if ids is not None and len(ids) != cycles.shape[0]:
         raise DimensionError(
             f"{len(ids)} ids for {cycles.shape[0]} cycles"
         )
     n, length = cycles.shape
     flags = 1 if ids is not None else 0
-    body = struct.pack("<HIQfB", FORMAT_VERSION, length, n, float(sampling_rate_hz), flags)
+    body = struct.pack("<HIQfB", FORMAT_VERSION, length, n, fs, flags)
     body += cycles.astype("<f4").tobytes()
     if ids is not None:
         blob = json.dumps([[rid, int(lid)] for rid, lid in ids],
                           separators=(",", ":")).encode("utf-8")
         body += struct.pack("<Q", len(blob)) + blob
-    Path(path).write_bytes(_wrap(DATASET_MAGIC, body))
+    _write(path, _wrap(DATASET_MAGIC, body))
 
 
 def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]]]]:
@@ -157,6 +183,10 @@ def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]
     _check_version(version, "dataset")
     if length == 0:
         raise FormatError("dataset: cycle length is 0")
+    try:
+        fs = check_sampling_rate(fs)
+    except ValueError as e:
+        raise IntegrityError(f"dataset: {e}") from e
     cycles = r.floats((n, length))
     ids = None
     if flags & 1:
@@ -172,7 +202,7 @@ def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]
                 f"dataset: footer has {len(ids)} ids for {n} cycles"
             )
     r.done()
-    return cycles, float(fs), ids
+    return cycles, fs, ids
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +215,7 @@ def save_record(path, record: EcgRecord) -> None:
                        record.sampling_rate_hz, len(rid))
     body += rid
     body += record.leads.astype("<f4").tobytes()
-    Path(path).write_bytes(_wrap(RECORD_MAGIC, body))
+    _write(path, _wrap(RECORD_MAGIC, body))
 
 
 def load_record(path) -> EcgRecord:
@@ -218,7 +248,7 @@ def save_model(path, model: VaeModel) -> None:
     """Checkpoint = JSON manifest (config + layer table) + named f32 tensors."""
     manifest = {
         "model_config": model.config.to_dict(),
-        "layers": model.layer_specs(),
+        "layers": layer_table(model.config),
         "train_config": model.train_config_dict,
         "train_seed": model.train_seed,
         "dtype": str(model.dtype),
@@ -231,11 +261,12 @@ def save_model(path, model: VaeModel) -> None:
     body += struct.pack("<I", len(tensors))
     for name, arr in tensors:
         body += _tensor_block(name, arr)
-    Path(path).write_bytes(_wrap(MODEL_MAGIC, body))
+    _write(path, _wrap(MODEL_MAGIC, body))
 
 
 def load_model(path) -> VaeModel:
-    """Rebuild the architecture from the manifest and pour the tensors back in."""
+    """Check the manifest against its config's layer table and the file's float
+    count, then build the model and copy the tensors into it."""
     buf = Path(path).read_bytes()
     r = _Reader(_unwrap(buf, MODEL_MAGIC, "model"), "model")
     (version,) = r.unpack("<H")
@@ -256,35 +287,27 @@ def load_model(path) -> VaeModel:
     r.done()
 
     try:
-        # layer constructors check what ModelConfig does not (e.g. bn_momentum)
-        model = VaeModel.build(ModelConfig.from_dict(manifest["model_config"]), seed=0)
+        config = ModelConfig.from_dict(manifest["model_config"])
+        table = layer_table(config)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"model: bad model_config in manifest: {e}") from e
-    if manifest.get("layers") != json.loads(json.dumps(model.layer_specs())):
-        raise IntegrityError("model: manifest layer table does not match the "
-                             "architecture rebuilt from its config")
-    params = dict(model.named_parameters())
-    state_names = {name for name, _ in model.named_state()}
-    expected = set(params) | state_names
-    if set(loaded) != expected:
-        missing = sorted(expected - set(loaded))[:3]
-        extra = sorted(set(loaded) - expected)[:3]
-        raise IntegrityError(
-            f"model: tensor names do not match (missing {missing}, extra {extra})"
-        )
-    for name, arr in loaded.items():
-        if name in params:
-            if params[name].data.shape != arr.shape:
-                raise IntegrityError(
-                    f"model: tensor '{name}' has shape {arr.shape}, "
-                    f"expected {params[name].data.shape}"
-                )
-            params[name].data = arr
-        else:
-            try:
-                model.load_state_value(name, arr)
-            except DimensionError as e:
-                raise IntegrityError(f"model: {e}") from e
+    if manifest.get("layers") != table:
+        raise IntegrityError("model: manifest layer table does not match its model_config")
+    n_floats = sum(arr.size for arr in loaded.values())
+    if n_floats != table_floats(table):  # checked before the model allocates its tensors
+        raise IntegrityError(f"model: file holds {n_floats} floats, its layer table "
+                             f"{table_floats(table)}")
+    model = VaeModel.build(config, seed=0)
+    for name, target in [(n, p.data) for n, p in model.named_parameters()] + model.named_state():
+        arr = loaded.pop(name, None)
+        if arr is None:
+            raise IntegrityError(f"model: tensor '{name}' is missing")
+        if arr.shape != target.shape:
+            raise IntegrityError(f"model: tensor '{name}' has shape {arr.shape}, "
+                                 f"expected {target.shape}")
+        target[...] = arr
+    if loaded:
+        raise IntegrityError(f"model: unexpected tensors {sorted(loaded)[:3]}")
     model.train_seed = manifest.get("train_seed")
     model.train_config_dict = manifest.get("train_config")
     return model
@@ -303,7 +326,7 @@ def write_loss_history(path, history: Sequence[EpochStats]) -> None:
     for h in history:
         lines.append(f"{h.epoch},{_fmt(h.train_recon)},{_fmt(h.train_kl)},"
                      f"{_fmt(h.eval_recon)},{_fmt(h.eval_kl)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_mmd_report(path, reports) -> None:
@@ -312,7 +335,7 @@ def write_mmd_report(path, reports) -> None:
     for m in rows:
         lines.append(f"{m.label_a},{m.label_b},{m.n_a},{m.n_b},{_fmt(m.sigma)},"
                      f"{_fmt(m.mmd2_biased)},{_fmt(m.mmd2_unbiased)},{m.seed}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_features_csv(path, mu: np.ndarray) -> None:
@@ -323,7 +346,7 @@ def write_features_csv(path, mu: np.ndarray) -> None:
     lines = [header]
     for row in mu:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_r_truth_csv(path, entries: Sequence[tuple[str, int]]) -> None:
@@ -331,7 +354,7 @@ def write_r_truth_csv(path, entries: Sequence[tuple[str, int]]) -> None:
     lines = ["record_id,r_index"]
     for rid, idx in entries:
         lines.append(f"{rid},{int(idx)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_r_truth_csv(path) -> dict[str, np.ndarray]:
@@ -339,9 +362,13 @@ def read_r_truth_csv(path) -> dict[str, np.ndarray]:
     if not text or text[0] != "record_id,r_index":
         raise FormatError("r-truth CSV: missing or wrong header")
     out: dict[str, list[int]] = {}
-    for line in text[1:]:
+    for ln, line in enumerate(text[1:], 2):
         rid, _, idx = line.partition(",")
-        out.setdefault(rid, []).append(int(idx))
+        try:
+            out.setdefault(rid, []).append(int(idx))
+        except ValueError as e:  # no comma leaves idx empty
+            raise FormatError(f"r-truth CSV: line {ln}: expected record_id,r_index, "
+                              f"got {line!r}") from e
     return {k: np.asarray(v, dtype=np.int64) for k, v in out.items()}
 
 
@@ -435,5 +462,5 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
     out.append("</svg>")
     markup = "\n".join(out) + "\n"
     if path is not None:
-        Path(path).write_text(markup, encoding="utf-8")
+        _write(path, markup.encode("utf-8"))
     return markup

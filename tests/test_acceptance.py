@@ -27,6 +27,8 @@ from ecgvae.synth import ParamRanges, gen_corpus
 from ecgvae.training import mean_cycle_baseline
 from ecgvae.experiments import latent_traversal, traversal_effect
 
+pytestmark = pytest.mark.acceptance
+
 CORPUS_SEED = 101
 TRAIN_SEED = 202
 GEN_SEED = 303

@@ -243,6 +243,16 @@ class TestMmd:
         assert capsys.readouterr().err.startswith("error: usage: --sigma")
         assert not out.exists()
 
+    def test_mixed_sampling_rates_is_exit_2(self, tmp_path, capsys):
+        cycles = np.random.default_rng(0).standard_normal((5, 400)).astype(np.float32)
+        save_dataset(tmp_path / "a.ecgc", cycles, sampling_rate_hz=500.0)
+        save_dataset(tmp_path / "b.ecgc", cycles, sampling_rate_hz=250.0)
+        out = tmp_path / "r.csv"
+        assert main(["mmd", "--a", str(tmp_path / "a.ecgc"), "--b", str(tmp_path / "b.ecgc"),
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert "a.ecgc is sampled at 500 Hz, b.ecgc at 250 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_sealed(path, magic: bytes, body: bytes):
     path.write_bytes(magic + body + struct.pack("<I", zlib.crc32(body)))
@@ -287,6 +297,19 @@ class TestHostileSizes:
         assert main(["generate", "--model", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "g.ecgc")]) == 2
         assert "bad array shape" in capsys.readouterr().err
+
+    def test_checkpoint_with_widened_manifest_is_exit_2(self, pipeline, tmp_path, capsys):
+        # one comma deleted: a 25664-wide dense layer the tensors do not back
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        blob = bytes(body[6:6 + blob_len]).replace(b'"enc_dense":[256,64]', b'"enc_dense":[25664]')
+        body[2:6 + blob_len] = struct.pack("<I", len(blob)) + blob
+        bad = write_sealed(tmp_path / "bad.ecgv", b"ECGV", bytes(body))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
+        assert "layer table does not match" in capsys.readouterr().err
+        assert not (tmp_path / "g.ecgc").exists()
 
 
 class TestPlot:

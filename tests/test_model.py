@@ -24,7 +24,9 @@ from ecgvae.model import (
     recon_loss,
     recon_node,
     reparameterize,
+    layer_table,
     sample_latent,
+    table_floats,
 )
 
 # small architecture with the same block pattern; keeps gradient checks fast
@@ -77,6 +79,29 @@ class TestShapeContract:
     def test_config_rejects_inconsistent_geometry(self):
         with pytest.raises(ValueError):
             ModelConfig(input_len=300)  # 300 != 25 * 2^4
+
+    @pytest.mark.parametrize("bad", [4.0, True, 0, -2])
+    @pytest.mark.parametrize("field", ["input_len", "latent_dim", "conv_channels", "kernel_size",
+                                       "enc_dense", "dec_dense", "dec_conv_channels",
+                                       "pool_width", "up_factor"])
+    def test_config_rejects_sizes_the_layers_reject(self, field, bad):
+        sizes = getattr(ModelConfig(), field)
+        value = sizes[:-1] + (bad,) if isinstance(sizes, tuple) else bad
+        with pytest.raises(ValueError, match=f"{field} must hold ints >= 1"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [{"bn_momentum": 0.0}, {"bn_momentum": 1.1},
+                                        {"bn_eps": 0.0}])
+    def test_config_rejects_batch_norm_settings_the_layers_reject(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("config", [ModelConfig(), COMPACT], ids=["default", "compact"])
+    def test_table_float_count_equals_built_tensors(self, config):
+        model = VaeModel.build(config, seed=0)
+        n = sum(p.data.size for _, p in model.named_parameters())
+        n += sum(a.size for _, a in model.named_state())
+        assert table_floats(layer_table(config)) == n
 
 
 class TestDeterminism:

@@ -1,6 +1,10 @@
 """File format roundtrips, corruption handling, CSV and SVG determinism."""
 
+import json
+import os
+import stat
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,7 +20,7 @@ from ecgvae.errors import (
     VersionError,
 )
 from ecgvae.metrics import MmdReport
-from ecgvae.model import ModelConfig, VaeModel
+from ecgvae.model import ModelConfig, VaeModel, layer_table
 from ecgvae.persistence import (
     emit_plot,
     load_dataset,
@@ -52,6 +56,32 @@ def rewrite_body(path, edit) -> None:
     body = bytearray(raw[4:-4])
     edit(body)
     path.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+def rewrite_manifest(path, edit) -> None:
+    """Replace a checkpoint's manifest by edit(manifest bytes), re-sealed with a valid CRC32."""
+    def edit_body(body):
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        blob = edit(bytes(body[6:6 + blob_len]))
+        body[2:6 + blob_len] = struct.pack("<I", len(blob)) + blob
+
+    rewrite_body(path, edit_body)
+
+
+def delete_one_comma(blob: bytes) -> bytes:
+    assert b'"enc_dense":[256,64]' in blob
+    return blob.replace(b'"enc_dense":[256,64]', b'"enc_dense":[25664]')
+
+
+def widen_config_and_table(blob: bytes) -> bytes:
+    """A 20000-wide first enc_dense layer in both the config and the layer table."""
+    manifest = json.loads(blob)
+    manifest["model_config"]["enc_dense"] = [20000, 64]
+    manifest["layers"] = layer_table(ModelConfig.from_dict(manifest["model_config"]))
+    return json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+BAD_RATES = [float("nan"), 0.0, -1.0, float("inf")]
 
 
 class TestDatasetFormat:
@@ -144,6 +174,22 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="cycle length is 0"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("rate", BAD_RATES + [1e-50, 1e39])  # float32 0 and inf
+    def test_save_refuses_bad_sampling_rate(self, tmp_path, rate):
+        p = tmp_path / "d.ecgc"
+        with pytest.raises(ValueError, match="sampling rate"):
+            save_dataset(p, np.zeros((2, 8), dtype=np.float32), sampling_rate_hz=rate)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_bad_sampling_rate_with_valid_crc(self, tmp_path, rate):
+        p = tmp_path / "d.ecgc"
+        save_dataset(p, np.zeros((2, 8), dtype=np.float32))
+        at = struct.calcsize("<HIQ")
+        rewrite_body(p, lambda body: body.__setitem__(slice(at, at + 4), struct.pack("<f", rate)))
+        with pytest.raises(IntegrityError, match="sampling rate"):
+            load_dataset(p)
+
     def test_rank_validation(self, tmp_path):
         with pytest.raises(DimensionError):
             save_dataset(tmp_path / "x.ecgc", np.zeros(10, dtype=np.float32))
@@ -191,6 +237,15 @@ class TestRecordFormat:
         with pytest.raises(FormatError, match="bad array shape"):
             load_record(p)
 
+    def test_infinite_sampling_rate_with_valid_crc(self, tmp_path):
+        p = tmp_path / "r.ecgr"
+        save_record(p, EcgRecord(np.ones((1, 50), dtype=np.float32), 500.0, "rec_0001"))
+        at = struct.calcsize("<HHQ")
+        rewrite_body(p, lambda body: body.__setitem__(slice(at, at + 4),
+                                                      struct.pack("<f", float("inf"))))
+        with pytest.raises(IntegrityError, match="sampling rate"):
+            load_record(p)
+
     @pytest.mark.parametrize("at,value", [
         (struct.calcsize("<HHQ"), struct.pack("<f", float("nan"))),   # sampling rate
         (struct.calcsize("<HHQ"), struct.pack("<f", -250.0)),
@@ -205,6 +260,21 @@ class TestRecordFormat:
 
 
 class TestModelCheckpoint:
+    @pytest.mark.parametrize("edit", [delete_one_comma, widen_config_and_table])
+    def test_hostile_widths_rejected_before_the_model_is_built(self, tmp_path, edit):
+        # building either architecture takes over 100 MB; the file is 2.7 MB
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(seed=3))
+        rewrite_manifest(p, edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError):
+                load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
     def test_roundtrip_parameters_and_outputs(self, tmp_path, rng):
         model = VaeModel.build(COMPACT, seed=5)
         model.train_seed = 5
@@ -376,6 +446,77 @@ class TestCsvWriters:
         p.write_text("wrong,header\nrec,1\n")
         with pytest.raises(FormatError):
             read_r_truth_csv(p)
+
+
+    @pytest.mark.parametrize("row", ["rec_0000,abc", "rec_0000"])
+    def test_r_truth_bad_row(self, tmp_path, row):
+        p = tmp_path / "truth.csv"
+        p.write_text(f"record_id,r_index\nrec_0000,250\n{row}\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_r_truth_csv(p)
+
+
+WRITERS = {
+    "save_dataset": lambda p: save_dataset(p, np.zeros((2, 8), dtype=np.float32)),
+    "save_record": lambda p: save_record(p, EcgRecord(np.zeros((1, 8), dtype=np.float32))),
+    "save_model": lambda p: save_model(p, VaeModel.build(COMPACT, seed=1)),
+    "write_loss_history": lambda p: write_loss_history(p, [EpochStats(0, 1.0, 2.0, 1.0, 2.0)]),
+    "write_mmd_report": lambda p: write_mmd_report(p, MmdReport("a", "b", 1, 1, 1.0, 0, 0, 0)),
+    "write_features_csv": lambda p: write_features_csv(p, np.zeros((1, 3))),
+    "write_r_truth_csv": lambda p: write_r_truth_csv(p, [("rec_0000", 250)]),
+    "emit_plot": lambda p: emit_plot(np.zeros((1, 5)), path=p),
+}
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+        old = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="no space"):
+            save_model(p, VaeModel.build(COMPACT, seed=2))
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ecgv"]
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_every_writer_renames_a_finished_temp_file(self, tmp_path, monkeypatch, writer):
+        renamed = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            renamed.append((os.path.dirname(src), os.path.getsize(src), dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        p = tmp_path / "out"
+        WRITERS[writer](p)
+        assert renamed == [(str(tmp_path), p.stat().st_size, p)]
+        assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+    def test_symlink_is_followed(self, tmp_path):
+        target = tmp_path / "truth.csv"
+        target.write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        write_r_truth_csv(tmp_path / "link.csv", [("rec_0000", 250)])
+        assert (tmp_path / "link.csv").is_symlink()
+        assert target.read_text() == "record_id,r_index\nrec_0000,250\n"
+
+    def test_special_file_is_written_in_place(self, tmp_path):
+        # renaming over a FIFO (or /dev/null) would replace it with a regular file
+        fifo = tmp_path / "truth.csv"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_r_truth_csv(fifo, [("rec_0000", 250)])
+            assert os.read(fd, 1024) == b"record_id,r_index\nrec_0000,250\n"
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestSvgPlot:
