@@ -2,10 +2,15 @@
 
 Subcommands cover the full pipeline: synth -> preprocess -> train ->
 generate / encode / traverse / mmd / plot. Exit codes are stable: 0 success,
-1 usage error, 2 unreadable or inconsistent data, 3 numeric failure. Errors
-are a single line on stderr. Options may come from --config files with flat
-key=value lines; explicit flags win over config values, config values win
-over built-in defaults.
+1 usage error or a request too large for memory, 2 unreadable or inconsistent
+data, 3 numeric failure. Errors are a single line on stderr.
+
+Each option's default is written once, in its add_argument. --config FILE
+takes flat key=value lines; a key is the dest of one of the subcommand's
+optional single-value flags (the metavar --help shows, lower-cased). The
+values become the subcommand's parser defaults and argv is parsed again, so
+each value is converted by its flag's type and an explicit flag still wins
+over it. An unknown key is a usage error naming FILE:LINE.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from . import persistence  # noqa: E402
-from .data import MAX_LEADS  # noqa: E402
+from .data import CYCLE_LEN, MAX_LEADS  # noqa: E402
 from .errors import DimensionError, FormatError, NumericsError, StateError  # noqa: E402
 from .experiments import sample_synthetic, traversal_sweep  # noqa: E402
 from .metrics import check_sigma, compare_sets  # noqa: E402
@@ -62,35 +67,45 @@ def _build_parser() -> _Parser:
         return sp
 
     sp = new("synth", "generate a corpus of synthetic records with R-peak truth")
-    sp.add_argument("--records", type=int, default=None, help="number of records (default 200)")
+    sp.add_argument("--records", type=int, default=200,
+                    help="number of records (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", type=Path, required=True, help="output directory")
-    sp.add_argument("--duration", type=float, default=None, help="seconds per record (default 10)")
-    sp.add_argument("--leads", type=int, default=None, help="leads per record (default 1)")
-    sp.add_argument("--noise-lo", type=float, default=None, help="noise std range low")
-    sp.add_argument("--noise-hi", type=float, default=None, help="noise std range high")
+    sp.add_argument("--duration", type=float, default=10.0,
+                    help="seconds per record (default %(default)s)")
+    sp.add_argument("--leads", type=int, default=1,
+                    help="leads per record (default %(default)s)")
+    sp.add_argument("--noise-lo", type=float, default=None,
+                    help="noise std range low (default: the generator's range)")
+    sp.add_argument("--noise-hi", type=float, default=None,
+                    help="noise std range high (default: the generator's range)")
 
     sp = new("preprocess", "records directory -> cycle dataset (.ecgc)")
     sp.add_argument("--in", dest="in_dir", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--half-width", type=int, default=None,
-                    help="samples kept on each side of an R peak (default 200)")
+    sp.add_argument("--half-width", type=int, default=CYCLE_LEN // 2,
+                    help="samples kept on each side of an R peak (default %(default)s)")
 
     sp = new("train", "fit the autoencoder on a cycle dataset")
     sp.add_argument("--data", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True, help="checkpoint path (.ecgv)")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None, help="KL weight")
+    sp.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                    help="passes over the training split (default %(default)s)")
+    sp.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                    help="cycles per Adam step (default %(default)s)")
+    sp.add_argument("--lr", type=float, default=TrainConfig.lr,
+                    help="Adam learning rate (default %(default)s)")
+    sp.add_argument("--beta", type=float, default=DEFAULT_BETA_KL,
+                    help="KL weight (default %(default)s)")
     sp.add_argument("--history", type=Path, default=None,
                     help="loss history CSV (default: <out>.loss.csv)")
     sp.add_argument("--quiet", action="store_true", help="suppress per-epoch lines")
 
     sp = new("generate", "decode prior samples from a trained model")
     sp.add_argument("--model", type=Path, required=True)
-    sp.add_argument("--count", type=int, default=None, help="cycles to generate (default 100)")
+    sp.add_argument("--count", type=int, default=100,
+                    help="cycles to generate (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", type=Path, required=True, help="output dataset (.ecgc)")
 
@@ -104,17 +119,20 @@ def _build_parser() -> _Parser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--feature", type=int, default=None)
     group.add_argument("--all", action="store_true")
-    sp.add_argument("--min", dest="vmin", type=float, default=None, help="sweep start (default -3)")
-    sp.add_argument("--max", dest="vmax", type=float, default=None, help="sweep end (default 3)")
-    sp.add_argument("--steps", type=int, default=None, help="sweep points (default 10)")
+    sp.add_argument("--min", dest="vmin", type=float, default=-3.0,
+                    help="sweep start (default %(default)s)")
+    sp.add_argument("--max", dest="vmax", type=float, default=3.0,
+                    help="sweep end (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=10,
+                    help="sweep points (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", type=Path, required=True, help="output directory")
 
     sp = new("mmd", "compare two cycle datasets with kernel MMD^2")
     sp.add_argument("--a", dest="set_a", type=Path, required=True)
     sp.add_argument("--b", dest="set_b", type=Path, required=True)
-    sp.add_argument("--sigma", type=str, default=None,
-                    help="'median' (default) or a positive bandwidth")
+    sp.add_argument("--sigma", type=str, default="median",
+                    help="'median' or a positive bandwidth (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", type=Path, required=True, help="report CSV")
 
@@ -130,11 +148,26 @@ def _build_parser() -> _Parser:
 # config files
 
 
-def _load_config(path: Path) -> dict[str, str]:
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _config_keys(sp: argparse.ArgumentParser) -> list[str]:
+    """Dests a config file may set: optional flags taking one value, outside exclusive groups."""
+    grouped = {a for g in sp._mutually_exclusive_groups for a in g._group_actions}
+    return [a.dest for a in sp._actions
+            if type(a) is argparse._StoreAction and a.nargs is None
+            and not a.required and a not in grouped and a.dest != "config"]
+
+
+def _load_config(path: Path, command: str, keys: list[str]) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
+    except (OSError, UnicodeError) as e:  # a directory, unreadable, not UTF-8
+        raise UsageError(f"config file {path}: {e}")
     out: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), 1):
         s = line.strip()
@@ -143,29 +176,25 @@ def _load_config(path: Path) -> dict[str, str]:
         if "=" not in s:
             raise UsageError(f"{path}:{ln}: expected key=value, got {s!r}")
         key, _, value = s.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise UsageError(f"{path}:{ln}: {command} has no config key {key!r} "
+                             f"(keys: {', '.join(keys) or 'none'})")
+        out[key] = value.strip()
     return out
 
 
-class _Options:
-    """Merges CLI flags, config entries and defaults, in that order."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(args.config) if args.config else {}
-
-    def get(self, key: str, cast, default):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            try:
-                return cast(self.config[key])
-            except ValueError:
-                raise UsageError(
-                    f"config: bad value for {key}: {self.config[key]!r}"
-                )
-        return default
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the subcommand's defaults."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    sp = _subparsers(parser)[args.command]
+    sp.set_defaults(**_load_config(args.config, args.command, _config_keys(sp)))
+    try:
+        return parser.parse_args(argv)  # flags still win; each flag's type converts its value
+    except UsageError as e:  # argv alone parsed, so the bad value is the config's
+        raise UsageError(f"{args.config}: {e}")
 
 
 def _positive(value: int | float, name: str):
@@ -179,14 +208,12 @@ def _positive(value: int | float, name: str):
 
 
 def _cmd_synth(args) -> int:
-    opt = _Options(args)
-    n_records = _positive(opt.get("records", int, 200), "--records")
-    duration = _positive(opt.get("duration", float, 10.0), "--duration")
-    leads = opt.get("leads", int, 1)
+    n_records = _positive(args.records, "--records")
+    duration = _positive(args.duration, "--duration")
+    leads = args.leads
     if not 1 <= leads <= MAX_LEADS:
         raise UsageError(f"--leads must be in [1, {MAX_LEADS}], got {leads}")
-    noise_lo = opt.get("noise_lo", float, None)
-    noise_hi = opt.get("noise_hi", float, None)
+    noise_lo, noise_hi = args.noise_lo, args.noise_hi
     from .synth import ParamRanges
     ranges = ParamRanges()
     if (noise_lo is None) != (noise_hi is None):
@@ -214,8 +241,7 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     from .preprocess import preprocess_records  # on demand: its imports dominate cold start
 
-    opt = _Options(args)
-    half_width = _positive(opt.get("half_width", int, 200), "--half-width")
+    half_width = _positive(args.half_width, "--half-width")
     in_dir: Path = args.in_dir
     if not in_dir.is_dir():
         raise FormatError(f"input is not a directory: {in_dir}")
@@ -239,14 +265,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    opt = _Options(args)
-    config = TrainConfig(
-        seed=args.seed,
-        epochs=opt.get("epochs", int, 50),
-        batch_size=opt.get("batch_size", int, 64),
-        lr=opt.get("lr", float, 1e-3),
-        beta_kl=opt.get("beta", float, DEFAULT_BETA_KL),
-    )
+    config = TrainConfig(seed=args.seed, epochs=args.epochs, batch_size=args.batch_size,
+                         lr=args.lr, beta_kl=args.beta)
     cycles, _, _ = persistence.load_dataset(args.data)
     log = None if args.quiet else print
     model, history = train(cycles, config, log=log)
@@ -261,8 +281,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    opt = _Options(args)
-    count = _positive(opt.get("count", int, 100), "--count")
+    count = _positive(args.count, "--count")
     model = persistence.load_model(args.model)
     out = sample_synthetic(model, count, seed=args.seed)
     persistence.save_dataset(args.out, out.cycles, sampling_rate_hz=DEFAULT_FS)
@@ -282,14 +301,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_traverse(args) -> int:
-    opt = _Options(args)
-    vmin = opt.get("vmin", float, -3.0)
-    vmax = opt.get("vmax", float, 3.0)
-    steps = opt.get("steps", int, 10)
-    if steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {steps}")
-    if vmax < vmin:
-        raise UsageError(f"--max {vmax} is below --min {vmin}")
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if args.vmax < args.vmin:
+        raise UsageError(f"--max {args.vmax} is below --min {args.vmin}")
     model = persistence.load_model(args.model)
     latent = model.config.latent_dim
     if args.all:
@@ -300,7 +315,7 @@ def _cmd_traverse(args) -> int:
                 f"--feature must be in [0, {latent}), got {args.feature}"
             )
         features = [args.feature]
-    values = np.linspace(vmin, vmax, steps)
+    values = np.linspace(args.vmin, args.vmax, args.steps)
     paths = traversal_sweep(model, args.out, seed=args.seed,
                             values=values, features=features)
     print(f"wrote {len(paths)} traversal plot(s) to {args.out}")
@@ -308,15 +323,13 @@ def _cmd_traverse(args) -> int:
 
 
 def _cmd_mmd(args) -> int:
-    opt = _Options(args)
-    sigma_raw = opt.get("sigma", str, "median")
-    if sigma_raw == "median":
+    if args.sigma == "median":
         sigma = None
     else:
         try:
-            sigma = float(sigma_raw)
+            sigma = float(args.sigma)
         except ValueError:
-            raise UsageError(f"--sigma must be 'median' or a number, got {sigma_raw!r}")
+            raise UsageError(f"--sigma must be 'median' or a number, got {args.sigma!r}")
         try:
             check_sigma(sigma)
         except ValueError as e:
@@ -363,17 +376,20 @@ _COMMANDS = {
 
 
 def _fail(category: str, exc: BaseException) -> None:
-    msg = " ".join(str(exc).split())
+    msg = " ".join(str(exc).split()) or type(exc).__name__
     print(f"error: {category}: {msg}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         _fail("usage", e)
+        return 1
+    except MemoryError as e:  # the request does not fit in memory
+        _fail("memory", e)
         return 1
     except NumericsError as e:
         _fail("numeric", e)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import CYCLE_LEN, CardiacCycle, as_cycle_array
+from .data import CYCLE_LEN, as_cycle_array
 from .errors import DimensionError
 from .layers import (
     BatchNorm1d,
@@ -169,16 +169,6 @@ def _layer(spec: dict, rng: np.random.Generator, dtype) -> Layer:
 
 
 @dataclass
-class LatentCode:
-    """Posterior parameters for one cycle, plus the sampled point if drawn."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-    z: Optional[np.ndarray] = None
-    noise_seed: Optional[int] = None
-
-
-@dataclass
 class ArchitectureSummary:
     encoder_conv_out: int
     encoder_dense_out: int
@@ -310,41 +300,6 @@ def kl_node(mu: Tensor, logvar: Tensor) -> Tensor:
 def recon_node(x: Tensor, x_hat: Tensor) -> Tensor:
     """Graph version of recon_loss."""
     return ad.reduce_mean(ad.square(x_hat - x))
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """z = mu + exp(logvar / 2) * noise, elementwise."""
-    mu = np.asarray(mu)
-    logvar = np.asarray(logvar)
-    noise = np.asarray(noise)
-    if mu.shape != logvar.shape or mu.shape != noise.shape:
-        raise DimensionError("mu, logvar and noise must share a shape")
-    return mu + np.exp(0.5 * logvar) * noise
-
-
-# ---------------------------------------------------------------------------
-# single-cycle conveniences
-
-
-def encode_cycle(model: VaeModel, cycle) -> LatentCode:
-    """Eval-mode posterior for one cycle (CardiacCycle or length-400 array)."""
-    arr = cycle.samples if isinstance(cycle, CardiacCycle) else np.asarray(cycle)
-    mu, logvar = model.encode(arr.reshape(1, -1))
-    return LatentCode(mu=mu.data[0].copy(), logvar=logvar.data[0].copy())
-
-
-def sample_latent(code: LatentCode, seed: int) -> LatentCode:
-    """Draw z from the posterior with a recorded seed."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(code.mu.shape)
-    z = reparameterize(code.mu, code.logvar, noise).astype(code.mu.dtype)
-    return LatentCode(mu=code.mu, logvar=code.logvar, z=z, noise_seed=seed)
-
-
-def decode_cycle(model: VaeModel, z: np.ndarray) -> CardiacCycle:
-    """Eval-mode reconstruction of one latent vector as a CardiacCycle."""
-    out = model.decode(np.asarray(z).reshape(1, -1))
-    return CardiacCycle(out.data[0])
 
 
 def encode_batch(model: VaeModel, cycles, batch: int = 256) -> tuple[np.ndarray, np.ndarray]:

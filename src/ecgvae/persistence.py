@@ -146,6 +146,12 @@ def _write(path, data: bytes) -> None:
         raise
 
 
+def _stored_rate(fs: float) -> float:
+    """`fs` as a float32 field stores it; ValueError unless that is finite and > 0."""
+    with np.errstate(over="ignore"):  # too large for float32 is inf
+        return check_sampling_rate(np.float32(fs))
+
+
 # ---------------------------------------------------------------------------
 # cycle dataset (.ecgc)
 
@@ -158,8 +164,7 @@ def save_dataset(path, cycles: np.ndarray, sampling_rate_hz: float = 500.0,
         raise DimensionError(f"cycles must be rank 2, got rank {cycles.ndim}")
     if cycles.shape[1] == 0:
         raise DimensionError("cycles have length 0")
-    with np.errstate(over="ignore"):  # the rate as the file stores it: too large is inf
-        fs = check_sampling_rate(np.float32(sampling_rate_hz))
+    fs = _stored_rate(sampling_rate_hz)
     if ids is not None and len(ids) != cycles.shape[0]:
         raise DimensionError(
             f"{len(ids)} ids for {cycles.shape[0]} cycles"
@@ -212,7 +217,7 @@ def load_dataset(path) -> tuple[np.ndarray, float, Optional[list[tuple[str, int]
 def save_record(path, record: EcgRecord) -> None:
     rid = record.record_id.encode("utf-8")
     body = struct.pack("<HHQfH", FORMAT_VERSION, record.n_leads, record.n_samples,
-                       record.sampling_rate_hz, len(rid))
+                       _stored_rate(record.sampling_rate_hz), len(rid))
     body += rid
     body += record.leads.astype("<f4").tobytes()
     _write(path, _wrap(RECORD_MAGIC, body))

@@ -9,7 +9,8 @@ import zlib
 import numpy as np
 import pytest
 
-from ecgvae.cli import main
+import ecgvae.cli
+from ecgvae.cli import _build_parser, _config_keys, _parse, _subparsers, main
 from ecgvae.data import EcgRecord
 from ecgvae.persistence import load_dataset, save_dataset, save_record
 
@@ -130,6 +131,18 @@ class TestGenerate:
         cycles, _, _ = load_dataset(out_a)
         assert cycles.shape == (12, 400)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_out_of_memory_is_one_line_exit_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_room(model, n, seed):
+            raise MemoryError(f"Unable to allocate 18.2 TiB for an array with shape ({n}, 25)")
+
+        monkeypatch.setattr(ecgvae.cli, "sample_synthetic", no_room)
+        out = tmp_path / "g.ecgc"
+        assert main(["generate", "--model", str(pipeline[3]), "--count", "100000000000",
+                     "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: memory: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         assert main(["generate", "--model", str(tmp_path / "none.ecgv"),
@@ -326,7 +339,99 @@ class TestPlot:
                      "--out", str(tmp_path / "p.svg")]) == 1
 
 
+# what a --config file may set: each subcommand's optional flags that take one value
+CONFIG_KEYS = {
+    "synth": {"records", "duration", "leads", "noise_lo", "noise_hi"},
+    "preprocess": {"half_width"},
+    "train": {"epochs", "batch_size", "lr", "beta", "history"},
+    "generate": {"count"},
+    "encode": set(),
+    "traverse": {"vmin", "vmax", "steps"},
+    "mmd": {"sigma"},
+    "plot": set(),
+}
+# a value for each key, none of them its default
+CONFIG_VALUES = {
+    "records": "3", "duration": "2.5", "leads": "2", "noise_lo": "0.01", "noise_hi": "0.02",
+    "half_width": "150", "epochs": "2", "batch_size": "8", "lr": "0.01", "beta": "0.5",
+    "history": "h.csv", "count": "7", "vmin": "-1.5", "vmax": "2", "steps": "4",
+    "sigma": "0.75",
+}
+# the required flags of each subcommand that takes config keys
+REQUIRED_ARGV = {
+    "synth": ["--seed", "1", "--out", "o"],
+    "preprocess": ["--in", "i", "--out", "o"],
+    "train": ["--data", "d", "--out", "o", "--seed", "1"],
+    "generate": ["--model", "m", "--seed", "1", "--out", "o"],
+    "traverse": ["--model", "m", "--all", "--seed", "1", "--out", "o"],
+    "mmd": ["--a", "a", "--b", "b", "--seed", "1", "--out", "o"],
+}
+
+
 class TestConfigFiles:
+    def test_config_keys_are_the_single_value_optionals(self):
+        subs = _subparsers(_build_parser())
+        assert {name: set(_config_keys(sp)) for name, sp in subs.items()} == CONFIG_KEYS
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c, keys in CONFIG_KEYS.items()
+                                              for k in sorted(keys)])
+    def test_config_value_parses_as_its_flag_does(self, tmp_path, command, key):
+        flag = next(a.option_strings[0] for a in _subparsers(_build_parser())[command]._actions
+                    if a.dest == key)
+        base = [command, *REQUIRED_ARGV[command]]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {CONFIG_VALUES[key]}\n")
+        by_flag = vars(_parse(_build_parser(), base + [flag, CONFIG_VALUES[key]]))
+        by_config = vars(_parse(_build_parser(), base + ["--config", str(cfg)]))
+        assert by_config.pop("config") == cfg and by_flag.pop("config") is None
+        assert by_config == by_flag
+        assert type(by_config[key]) is type(by_flag[key])
+        assert by_config[key] != vars(_parse(_build_parser(), base))[key]
+
+    @pytest.mark.parametrize("command, lines", [
+        ("generate", "cout=5\n"),
+        ("encode", "count=3\n"),
+        ("traverse", "min=-1\n"),
+        ("train", "quiet=1\n"),
+        ("train", "seed=5\n"),
+        ("encode", None),  # no such file
+        ("plot", None),
+    ])
+    def test_config_the_command_cannot_use_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                     command, lines):
+        _, _, dataset, model = pipeline
+        argv = {
+            "generate": ["--model", model, "--count", "1", "--seed", "1"],
+            "encode": ["--model", model, "--data", dataset],
+            "traverse": ["--model", model, "--feature", "0", "--steps", "1", "--seed", "1"],
+            "train": ["--data", dataset, "--seed", "1", "--epochs", "1", "--batch-size", "8",
+                      "--quiet"],
+            "plot": ["--data", dataset, "--indices", "0"],
+        }[command]
+        cfg = tmp_path / "c.cfg"
+        if lines is not None:
+            cfg.write_text(lines)
+        assert main([command, *map(str, argv), "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert (f"{cfg}:1: " if lines else str(cfg)) in err
+        assert list(tmp_path.iterdir()) == ([cfg] if lines else [])  # nothing written
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_exit_1(self, pipeline, tmp_path, capsys, kind):
+        cfg = tmp_path / "c.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe=1\n")
+        out = tmp_path / "f.csv"
+        assert main(["encode", "--model", str(pipeline[3]), "--data", str(pipeline[2]),
+                     "--out", str(out), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err
+        assert not out.exists()
+
     def test_config_supplies_defaults_and_flags_win(self, pipeline, tmp_path):
         _, _, dataset, _ = pipeline
         cfg = tmp_path / "train.cfg"

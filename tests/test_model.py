@@ -9,23 +9,17 @@ from scipy.integrate import simpson
 from conftest import max_grad_rel_err
 from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
-from ecgvae.data import CardiacCycle
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.model import (
-    LatentCode,
     ModelConfig,
     VaeModel,
     decode_batch,
-    decode_cycle,
     encode_batch,
-    encode_cycle,
     kl_loss,
     kl_node,
     recon_loss,
     recon_node,
-    reparameterize,
     layer_table,
-    sample_latent,
     table_floats,
 )
 
@@ -218,42 +212,7 @@ class TestReconLoss:
         assert np.isclose(node.item(), recon_loss(x, y), rtol=1e-10)
 
 
-class TestReparameterize:
-    def test_hand_value(self):
-        # sigma = exp(ln(4)/2) = 2, so z = 0 + 2 * 1 = 2
-        z = reparameterize(np.zeros(3), np.full(3, np.log(4.0)), np.ones(3))
-        np.testing.assert_allclose(z, 2.0)
-
-    def test_zero_noise_returns_mu(self, rng):
-        mu = rng.standard_normal(25)
-        z = reparameterize(mu, rng.standard_normal(25), np.zeros(25))
-        np.testing.assert_array_equal(z, mu)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            reparameterize(np.zeros(3), np.zeros(3), np.zeros(4))
-
-    def test_sample_latent_records_seed_and_formula(self, rng):
-        code = LatentCode(mu=rng.standard_normal(25).astype(np.float32),
-                          logvar=rng.standard_normal(25).astype(np.float32))
-        drawn = sample_latent(code, seed=99)
-        assert drawn.noise_seed == 99
-        noise = np.random.default_rng(99).standard_normal(25)
-        expect = code.mu + np.exp(0.5 * code.logvar) * noise
-        np.testing.assert_allclose(drawn.z, expect.astype(np.float32), rtol=1e-6)
-        # same seed, same draw
-        np.testing.assert_array_equal(drawn.z, sample_latent(code, seed=99).z)
-
-
 class TestCycleHelpers:
-    def test_encode_cycle_roundtrip_types(self, rng):
-        model = VaeModel.build(seed=0)
-        cycle = CardiacCycle(rng.standard_normal(400).astype(np.float32))
-        code = encode_cycle(model, cycle)
-        assert code.mu.shape == (25,) and code.logvar.shape == (25,)
-        out = decode_cycle(model, code.mu)
-        assert isinstance(out, CardiacCycle)
-
     def test_encode_batch_matches_single_calls(self, rng):
         model = VaeModel.build(seed=0)
         x = rng.standard_normal((10, 400)).astype(np.float32)

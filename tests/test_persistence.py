@@ -211,6 +211,13 @@ class TestRecordFormat:
         assert got.sampling_rate_hz == 360.0
         assert got.record_id == "rec_0042"
 
+    @pytest.mark.parametrize("rate", [1e-50, 1e39])  # float32 0 and inf
+    def test_save_refuses_rate_float32_cannot_hold(self, tmp_path, rate):
+        rec = EcgRecord(np.zeros((1, 50), dtype=np.float32), rate, "rec_0001")
+        with pytest.raises(ValueError, match="sampling rate"):
+            save_record(tmp_path / "r.ecgr", rec)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
     def test_corruption_detected(self, tmp_path, rng):
         p = tmp_path / "r.ecgr"
         save_record(p, EcgRecord(rng.standard_normal((1, 500)).astype(np.float32)))
