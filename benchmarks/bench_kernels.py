@@ -1,9 +1,12 @@
 """Time the conv/pool kernels at the model's layer shapes.
 
 Runs every hot kernel through the public wrappers in ecgvae.kernels and
-prints a timing table (best of N). conv1d_bwd unfolds its input into im2col
-columns again, which a training step does not pay: autodiff keeps the
-columns from the forward pass. Use --quick for a fast smoke pass.
+prints a timing table (best of N). Two costs in these figures are not paid
+in a training step. conv1d_bwd unfolds its input into im2col columns again,
+where autodiff keeps the columns from the forward pass. And the conv
+wrappers take and give [B, C, L], so each call swaps axes 0 and 1 around the
+channel-major kernels twice, where layers.Sequential swaps once at each end
+of a whole conv chain. Use --quick for a fast smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """

@@ -45,6 +45,10 @@ from .synth import DEFAULT_FS, gen_corpus  # noqa: E402
 from .training import DEFAULT_BETA_KL, TrainConfig, train  # noqa: E402
 
 
+# each step is one decoded trace in every feature's SVG: 100 steps x 25 features is ~14 MB
+MAX_TRAVERSE_STEPS = 100
+
+
 class UsageError(Exception):
     pass
 
@@ -124,7 +128,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max", dest="vmax", type=float, default=3.0,
                     help="sweep end (default %(default)s)")
     sp.add_argument("--steps", type=int, default=10,
-                    help="sweep points (default %(default)s)")
+                    help=f"sweep points, at most {MAX_TRAVERSE_STEPS} (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -239,7 +243,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    from .preprocess import preprocess_records  # on demand: its imports dominate cold start
+    # on demand: its imports dominate cold start
+    from .preprocess import SEGMENT_S, preprocess_records
 
     half_width = _positive(args.half_width, "--half-width")
     in_dir: Path = args.in_dir
@@ -255,6 +260,10 @@ def _cmd_preprocess(args) -> int:
             raise FormatError(f"{f.name} is sampled at {record.sampling_rate_hz:g} Hz, "
                               f"{files[0].name} at {fs:g} Hz")
     cycles, meta, stats = preprocess_records(records, half_width=half_width)
+    if stats["segments"] == 0:
+        longest = max(record.duration_s for record in records)
+        raise FormatError(f"preprocessing produced zero cycles: every record is shorter than "
+                          f"one {SEGMENT_S:g} s segment (longest {longest:g} s)")
     if cycles.shape[0] == 0:
         raise FormatError("preprocessing produced zero cycles")
     persistence.save_dataset(args.out, cycles, sampling_rate_hz=fs, ids=meta)
@@ -301,8 +310,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_traverse(args) -> int:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_TRAVERSE_STEPS:
+        raise UsageError(f"--steps must be in [1, {MAX_TRAVERSE_STEPS}], got {args.steps}")
     if args.vmax < args.vmin:
         raise UsageError(f"--max {args.vmax} is below --min {args.vmin}")
     model = persistence.load_model(args.model)

@@ -1,24 +1,20 @@
 """Hot numeric kernels: 1-d convolution and max pooling, in numpy.
 
-Convolution goes through im2col (Chellapilla et al. 2006): the padded input
-is unfolded once into a column matrix [Ci*K, B*Lout], after which the forward
-pass is one matmul, and the backward pass is one matmul for dw plus one
-matmul and a col2im fold for dx. The columns are channel-major with batch and
-position last, so each transpose around the matmuls permutes outer axes only
-and copies whole contiguous rows. autodiff keeps the forward columns for the
-backward pass; conv1d_fwd/conv1d_bwd compose the same helpers for callers
-that hold no columns.
+Convolution runs channel-outermost, on [C, B, L], through im2col (Chellapilla
+et al. 2006): one shifted row copy per tap unfolds x into columns [Ci*K, B*Lout],
+zero where a tap reads the padding. The forward matmul's [Co, B*Lout] already
+is the output [Co, B, Lout]; backward views dy as [Co, B*Lout] for the dw and
+dcols matmuls and folds dcols straight into [Ci, B, L]. autodiff keeps the
+columns for the backward pass. conv1d_fwd/conv1d_bwd keep the [B, C, L]
+signature for other callers by swapping axes 0 and 1 around that one path.
 
-Max pooling takes a running max over the `width` strided slices of each
-window and records which slice won as a boolean route mask, so the backward
-pass is `width` strided multiplies with no index arithmetic.
-
-All kernels take rank-3 arrays [batch, channels, length] and are shape-blind
-beyond that: validation lives in the calling layer code. Convolution is
-cross-correlation (no kernel flip) with zero padding of (K - 1) // 2 on each
-side, so an odd K at stride 1 preserves length and the output length is
-ceil(L / stride) in general. Pooling is non-overlapping with a trailing
-partial window dropped.
+Max pooling is a running max over the `width` strided slices of each window;
+maxpool1d_fwd also marks the winning slice in a boolean route mask, so the
+backward pass is `width` strided multiplies. It reads only the last axis, so
+[B, C, L] and [C, B, L] pool alike. Kernels do no validation: the calling
+layer code does. Convolution is cross-correlation (no kernel flip) with zero
+padding of (K - 1) // 2 on each side, so the output length is ceil(L / stride).
+Pooling is non-overlapping with a trailing partial window dropped.
 """
 
 from __future__ import annotations
@@ -41,58 +37,55 @@ def conv_out_len(length: int, stride: int) -> int:
 # convolution
 
 
-def im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Unfold x [B,Ci,L] into columns [Ci*K, B*Lout] of its zero-padded copy.
-
-    cols[i*K + kk, b*Lout + t] = xpad[b, i, t*stride + kk].
-    """
-    b, ci, length = x.shape
+def _taps(k: int, length: int, stride: int):
+    """Per tap kk: outputs t0 <= t < t1 read x[..., src]; the others read padding."""
     lout = conv_out_len(length, stride)
     pad = (k - 1) // 2
-    xp = np.zeros((b, ci, length + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + length] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride][:, :, :lout]
-    return np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(ci * k, b * lout)
+    for kk in range(k):
+        shift = kk - pad
+        t0 = max(0, -(shift // stride))
+        t1 = max(t0, min(lout, (length - 1 - shift) // stride + 1))
+        lo = t0 * stride + shift
+        yield kk, t0, t1, slice(lo, lo + (t1 - t0) * stride, stride)
+
+
+def im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Unfold x [Ci,B,L] into columns [Ci*K, B*Lout] of its zero-padded copy xpad:
+    cols[i*K + kk, b*Lout + t] = xpad[i, b, t*stride + kk]."""
+    ci, b, length = x.shape
+    lout = conv_out_len(length, stride)
+    cols = np.empty((ci, k, b, lout), dtype=x.dtype)
+    for kk, t0, t1, src in _taps(k, length, stride):
+        cols[:, kk, :, :t0] = 0
+        cols[:, kk, :, t1:] = 0
+        cols[:, kk, :, t0:t1] = x[:, :, src]
+    return cols.reshape(ci * k, b * lout)
 
 
 def col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int) -> np.ndarray:
-    """Sum column gradients [Ci*K, B*Lout] back onto an input of `shape` [B,Ci,L]."""
-    b, ci, length = shape
-    lout = conv_out_len(length, stride)
-    pad = (k - 1) // 2
-    taps = dcols.reshape(ci, k, b, lout)
+    """Sum column gradients [Ci*K, B*Lout] back onto an input of `shape` [Ci,B,L]."""
+    taps = dcols.reshape(shape[0], k, shape[1], -1)
     dx = np.zeros(shape, dtype=dcols.dtype)
-    dxt = dx.transpose(1, 0, 2)  # view in the columns' [Ci, B, L] order
-    for kk in range(k):
-        # output t reads input position t*stride + shift; skip the padding
-        shift = kk - pad
-        t0 = max(0, -(shift // stride))
-        t1 = min(lout, (length - 1 - shift) // stride + 1)
-        if t1 > t0:
-            lo = t0 * stride + shift
-            dxt[:, :, lo:lo + (t1 - t0 - 1) * stride + 1:stride] += taps[:, kk, :, t0:t1]
+    for kk, t0, t1, dst in _taps(k, shape[2], stride):
+        dx[:, :, dst] += taps[:, kk, :, t0:t1]
     return dx
 
 
 def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
                 bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convolution output [B,Co,Lout] from im2col columns, plus an optional bias [Co]."""
+    """Convolution output [Co,B,Lout] from im2col columns, plus an optional bias [Co]."""
     co = w.shape[0]
-    y = (w.reshape(co, -1) @ cols).reshape(co, batch, -1).transpose(1, 0, 2)
-    out = np.empty(y.shape, dtype=y.dtype)
-    if bias is None:
-        np.copyto(out, y)
-    else:
-        np.add(y, bias[:, None], out=out)
-    return out
+    y = (w.reshape(co, -1) @ cols).reshape(co, batch, -1)
+    if bias is not None:
+        y += bias[:, None, None]
+    return y
 
 
 def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int,
                     stride: int, need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """(dx or None, dw) of conv1d_cols given its columns and upstream dy [B,Co,Lout]."""
+    """(dx [Ci,B,L] or None, dw) of conv1d_cols given its columns and upstream dy [Co,B,Lout]."""
     co, ci, k = w.shape
-    b = dy.shape[0]
-    dyc = np.ascontiguousarray(dy.transpose(1, 0, 2)).reshape(co, -1)
+    dyc = dy.reshape(co, -1)
     dw = (dyc @ cols.T).reshape(w.shape)
     if not need_dx:
         return None, dw
@@ -100,38 +93,44 @@ def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int
     # OpenBLAS runs the rank-1 product of a single output channel ~10x slower
     # than the equivalent broadcast multiply
     dcols = wm.T * dyc if co == 1 else wm.T @ dyc
-    return col2im(dcols, (b, ci, length), k, stride), dw
+    return col2im(dcols, (ci, dy.shape[1], length), k, stride), dw
 
 
 def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Zero-padded cross-correlation, x [B,Ci,L] * w [Co,Ci,K] -> [B,Co,ceil(L/s)]."""
-    return conv1d_cols(im2col(x, w.shape[2], stride), w, x.shape[0])
+    cols = im2col(x.swapaxes(0, 1), w.shape[2], stride)
+    return conv1d_cols(cols, w, x.shape[0]).swapaxes(0, 1)
 
 
-def conv1d_bwd(
-    x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def conv1d_bwd(x: np.ndarray, w: np.ndarray, stride: int,
+               dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,Lout]."""
-    return conv1d_cols_bwd(im2col(x, w.shape[2], stride), w, dy, x.shape[2], stride)
+    cols = im2col(x.swapaxes(0, 1), w.shape[2], stride)
+    dx, dw = conv1d_cols_bwd(cols, w, dy.swapaxes(0, 1), x.shape[2], stride)
+    return dx.swapaxes(0, 1), dw
 
 
 # ---------------------------------------------------------------------------
 # max pooling
 
 
-def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max over windows of `width`; trailing remainder dropped.
+def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
+    """Non-overlapping max over windows of `width` along the last axis; no route."""
+    n = x.shape[2] // width * width
+    y = x[:, :, 0:n:width]
+    for j in range(1, width):
+        y = np.maximum(y, x[:, :, j:n:width])
+    return y if width > 1 else y.copy()  # width 1 would return a view of x
 
-    Returns the pooled values [B,C,Lout] and a route mask [B,C,width,Lout]
-    that is True at exactly one offset per window: the first maximum.
-    """
-    b, c, length = x.shape
-    lout = length // width
+
+def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """maxpool1d and a route mask [N0,N1,width,Lout], True at each window's first maximum."""
+    lout = x.shape[2] // width
     n = lout * width
     y = x[:, :, 0:n:width]
     # first mark each offset that beats every earlier one; strictly, so a tie
     # keeps the earlier offset. The last offset so marked holds the maximum.
-    route = np.empty((b, c, width, lout), dtype=bool)
+    route = np.empty(x.shape[:2] + (width, lout), dtype=bool)
     route[:, :, 0] = True
     for j in range(1, width):
         s = x[:, :, j:n:width]
@@ -139,14 +138,14 @@ def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         y = np.maximum(y, s)
     for j in range(width - 1, 0, -1):
         route[:, :, :j] &= ~route[:, :, j:j + 1]
-    return (y if width > 1 else y.copy()), route  # width 1 would return a view of x
+    return (y if width > 1 else y.copy()), route
 
 
 def maxpool1d_bwd(dy: np.ndarray, route: np.ndarray, length: int) -> np.ndarray:
-    """Send upstream dy [B,C,Lout] back to the window maxima named by `route`."""
-    b, c, width, lout = route.shape
+    """Send upstream dy [N0,N1,Lout] back to the window maxima named by `route`."""
+    width, lout = route.shape[2:]
     n = lout * width
-    dx = np.empty((b, c, length), dtype=dy.dtype)
+    dx = np.empty(dy.shape[:2] + (length,), dtype=dy.dtype)
     dx[:, :, n:] = 0
     for j in range(width):
         np.multiply(dy, route[:, :, j], out=dx[:, :, j:n:width])

@@ -418,7 +418,8 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
         spread = 1.0
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     height = _MARGIN_T + _BAND_H * len(rows) + _MARGIN_B
-    xs = _MARGIN_L + np.arange(length) * (plot_w / max(1, length - 1))
+    # every trace shares the x coordinates, so they are formatted once
+    xs = [_f(x) for x in (_MARGIN_L + np.arange(length) * (plot_w / max(1, length - 1))).tolist()]
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -434,7 +435,7 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
         mid = _MARGIN_T + _BAND_H * i + _BAND_H / 2.0
         scale = (_BAND_H * 0.9) / spread
         ys = mid + (0.5 * (gmin + gmax) - r) * scale
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x},{y:.2f}" for x, y in zip(xs, ys.tolist()))
         color = _COLORS[i % len(_COLORS)]
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.0"/>')

@@ -81,6 +81,16 @@ class TestPreprocess:
         assert "b.ecgr is sampled at 250 Hz" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_records_shorter_than_one_segment(self, tmp_path, capsys):
+        records, out = tmp_path / "records", tmp_path / "d.ecgc"
+        assert main(["synth", "--records", "1", "--duration", "2", "--seed", "1",
+                     "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["preprocess", "--in", str(records), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "every record is shorter than one 9 s segment (longest 2 s)" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_history(self, pipeline):
@@ -216,6 +226,22 @@ class TestTraverse:
         _, _, _, model = pipeline
         assert main(["traverse", "--model", str(model), "--feature", "1",
                      "--all", "--seed", "0", "--out", str(tmp_path / "t")]) == 1
+
+    def test_steps_above_cap_refused_before_any_work(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        _, _, _, model = pipeline
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the --steps check")
+
+        monkeypatch.setattr(ecgvae.cli.persistence, "load_model", unreachable)
+        monkeypatch.setattr(ecgvae.cli.np, "linspace", unreachable)
+        out = tmp_path / "t"
+        steps = ecgvae.cli.MAX_TRAVERSE_STEPS + 1
+        assert main(["traverse", "--model", str(model), "--all", "--steps", str(steps),
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert f"--steps must be in [1, {steps - 1}], got {steps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_range(self, pipeline, tmp_path):
         _, _, _, model = pipeline

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import max_grad_rel_err
 from ecgvae import autodiff as ad
+from ecgvae import kernels
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError
 from ecgvae.layers import (
@@ -17,6 +18,7 @@ from ecgvae.layers import (
     UpsampleNearest1d,
     he_uniform,
 )
+from ecgvae.model import VaeModel
 
 TOL = 1e-4
 
@@ -194,6 +196,75 @@ class TestSequential:
         seq = Sequential(layers)
         out = seq(Tensor(rng.standard_normal((2, 1, 400)).astype(np.float32)), train=True)
         assert out.data.shape == (2, 1, 25)
+
+
+def _stride2_chain(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [Conv1d(3, 8, 5, stride=2, rng=rng), BatchNorm1d(8), ReLU(), MaxPool1d(2),
+            Conv1d(8, 4, 3, stride=2, rng=rng), BatchNorm1d(4), ReLU(),
+            UpsampleNearest1d(2), Conv1d(4, 2, 1, rng=rng)]
+
+
+def _model_chain(name: str, seed: int) -> list:
+    return getattr(VaeModel.build(seed=seed), name).layers
+
+
+class TestChannelMajorChains:
+    """Sequential runs conv chains in [C,B,L]; the layers one by one run [B,C,L]."""
+
+    @pytest.mark.parametrize("chain,in_shape", [
+        ("enc_conv", (6, 1, 400)), ("dec_conv", (6, 1, 25)), ("stride2", (5, 3, 37)),
+    ])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_sequential_matches_layer_by_layer_bitwise(self, chain, in_shape, train):
+        build = _stride2_chain if chain == "stride2" else (lambda s: _model_chain(chain, s))
+        seq_layers, ref_layers = build(11), build(11)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(in_shape).astype(np.float32)
+
+        def run(forward, layers):
+            xt = Tensor(x, requires_grad=True)
+            out = forward(xt)
+            g = np.random.default_rng(6).standard_normal(out.data.shape).astype(np.float32)
+            ad.reduce_sum(out * Tensor(g)).backward()
+            params = [p.grad for layer in layers for _, p in layer.named_parameters()]
+            state = [a for layer in layers for _, a in layer.named_state()]
+            return out.data, xt.grad, params, state
+
+        def one_by_one(xt):
+            for layer in ref_layers:
+                xt = layer(xt, train=train)
+            return xt
+
+        seq = Sequential(seq_layers)
+        got = run(lambda xt: seq(xt, train=train), seq_layers)
+        want = run(one_by_one, ref_layers)
+        assert got[0].shape == want[0].shape
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert len(got[2]) == len(want[2]) and len(got[3]) == len(want[3])
+        for a, b in zip(got[2] + got[3], want[2] + want[3]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_swap_happens_only_around_conv_chains(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        conv = Sequential([Conv1d(3, 4, 3, rng=rng), ReLU()])
+        assert conv(x).op == "swap01" and conv(x).data.shape == (2, 4, 8)
+        assert Sequential([BatchNorm1d(3), ReLU()])(x).op == "batch_norm"
+
+    def test_tape_off_pool_matches_and_builds_no_route(self, rng, monkeypatch):
+        x = Tensor(rng.standard_normal((3, 4, 21)).astype(np.float32), requires_grad=True)
+        on = ad.maxpool1d(x, 2)
+
+        def no_route(*args):
+            raise AssertionError("route built with the tape off")
+
+        monkeypatch.setattr(kernels, "maxpool1d_fwd", no_route)
+        with ad.recording(False):
+            off = ad.maxpool1d(x, 2)
+        np.testing.assert_array_equal(off.data, on.data)
+        assert off._backward is None and off._parents == ()
+        assert not np.shares_memory(off.data, x.data)
 
 
 def test_he_uniform_respects_fan_in():

@@ -538,6 +538,24 @@ class TestSvgPlot:
         assert ">demo<" in markup
         assert ">t3<" in markup
 
+    @pytest.mark.parametrize("traces", [
+        # y lands a hair off each .xx5 rounding edge: anchors 0 and 1 fix the scale
+        [[0.0, 1.0] + [0.5 - (k + 0.005 - 62.0) / 57.6 for k in range(40, 80)]],
+        [[0.005, -0.005, -0.001, 1e6, 0.0, 2.675], [1.005, -1e6, 0.015, -0.025, 3.0, 0.0]],
+    ])
+    def test_points_follow_the_per_point_format(self, traces):
+        from ecgvae import persistence as P
+        markup = emit_plot(traces)
+        rows = [np.asarray(t, dtype=np.float64) for t in traces]
+        gmin, gmax = min(r.min() for r in rows), max(r.max() for r in rows)
+        n = rows[0].size
+        xs = P._MARGIN_L + np.arange(n) * ((P._SVG_W - P._MARGIN_L - P._MARGIN_R) / (n - 1))
+        for i, r in enumerate(rows):
+            mid = P._MARGIN_T + P._BAND_H * i + P._BAND_H / 2.0
+            ys = mid + (0.5 * (gmin + gmax) - r) * ((P._BAND_H * 0.9) / (gmax - gmin))
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))  # numpy scalars
+            assert f'<polyline points="{pts}" ' in markup
+
     def test_label_escaping(self):
         markup = emit_plot(np.zeros((1, 5)), labels=["a<b&c"])
         assert "a&lt;b&amp;c" in markup
