@@ -1,12 +1,12 @@
 """Time the conv/pool kernels at the model's layer shapes.
 
-Runs every hot kernel through the public wrappers in ecgvae.kernels and
-prints a timing table (best of N). Two costs in these figures are not paid
-in a training step. conv1d_bwd unfolds its input into im2col columns again,
-where autodiff keeps the columns from the forward pass. And the conv
-wrappers take and give [B, C, L], so each call swaps axes 0 and 1 around the
-channel-major kernels twice, where layers.Sequential swaps once at each end
-of a whole conv chain. Use --quick for a fast smoke pass.
+Runs every hot kernel through the public [B, C, L] functions in
+ecgvae.kernels and prints a timing table (best of N). The figures differ
+from a training step in two ways. conv1d_bwd unfolds its input into im2col
+columns again, where autodiff keeps the columns from the forward pass. And
+the inputs here are in C order, where inside the model each conv after a
+chain's first reads channel-major memory (the previous conv's output, carried
+through batch norm and pooling). Use --quick for a fast smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """

@@ -13,9 +13,12 @@ receives the sum of both contributions.
 The op set is exactly what the encoder/decoder stack needs, nothing more.
 Layers that would take many primitive nodes are single ops with a closed-form
 backward: batch_norm (with an optional fused ReLU) is one node, and conv1d
-keeps its im2col columns from the forward pass for the backward pass. Both
-take a channel_axis keyword: 0 runs them on [C,B,L], the layout in which
-layers.Sequential runs a conv chain between two swap01 nodes.
+keeps its im2col columns from the forward pass for the backward pass.
+Rank-3 tensors have one layout, [B,C,L], in shape; in memory the conv chains
+run channel-major. conv1d returns a [B,C,L] view of the kernels' [C,B,L]
+result, and every downstream op allocates like its input (numpy's
+order="K"), so that memory order carries through batch norm, pooling and
+upsampling and back through their gradients.
 Each op checks its own output for NaN/Inf once and raises NumericsError
 immediately, which keeps a diverging training run from silently poisoning
 later epochs; overflow inside an op is silenced and surfaces through that
@@ -179,13 +182,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None, axis: int = 1) -> np.ndarray:
-    """Float64 sum of a (or of a * b) over every axis but the channel axis (0 or 1)."""
+def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Float64 sum of a (or of a * b) over every axis but the channel axis 1."""
     if a.ndim == 3:
         # einsum sums each length-L row in float32 SIMD lanes; the [B,C] rows add in
-        # float64 one batch row at a time, in the same order for either layout
-        spec = "bcl" if axis == 1 else "cbl"
-        rows = np.einsum(f"{spec}->bc", a) if b is None else np.einsum(f"{spec},{spec}->bc", a, b)
+        # float64 one batch row at a time, in the same order for either memory order
+        rows = np.einsum("bcl->bc", a) if b is None else np.einsum("bcl,bcl->bc", a, b)
     else:
         rows = a if b is None else a * b
     return rows.sum(axis=0, dtype=np.float64)
@@ -383,16 +385,6 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _node(out_data, tuple(parts), bwd, "concat")
 
 
-def swap01(x: Tensor) -> Tensor:
-    """Swap axes 0 and 1, e.g. [B,C,L] <-> [C,B,L]; a view, and its own inverse."""
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g.swapaxes(0, 1))
-
-    return _node(x.data.swapaxes(0, 1), (x,), bwd, "swap01")
-
-
 # ---------------------------------------------------------------------------
 # linear / convolutional ops
 
@@ -417,12 +409,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x.data @ w.data.T + b.data, (x, w, b), bwd, "dense")
 
 
-def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, *,
-           channel_axis: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
     """Zero-padded 1-d cross-correlation over [B,C,L] with optional bias.
 
-    channel_axis=0 takes and gives [C,B,L], the kernels' own layout, so no
-    axis swap is made around them.
+    The output is a [B,C,L] view of channel-major [C,B,L] memory.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"conv1d expects rank-3 input, got shape {x.data.shape}")
@@ -432,31 +422,30 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, *,
         raise ValueError(f"conv1d kernel width must be odd, got {w.data.shape[2]}")
     if stride < 1:
         raise ValueError(f"conv1d stride must be >= 1, got {stride}")
-    if x.data.shape[channel_axis] != w.data.shape[1]:
-        raise DimensionError(f"conv1d: input has {x.data.shape[channel_axis]} channels, "
+    if x.data.shape[1] != w.data.shape[1]:
+        raise DimensionError(f"conv1d: input has {x.data.shape[1]} channels, "
                              f"weight expects {w.data.shape[1]}")
     # the kernels take [C,B,L]; swapping axes 0 and 1 (a view) maps [B,C,L] there and back
-    swap = (lambda a: a) if channel_axis == 0 else (lambda a: a.swapaxes(0, 1))
-    xd = swap(x.data)
+    xd = x.data.swapaxes(0, 1)
     cols = kernels.im2col(xd, w.data.shape[2], stride)
     y = kernels.conv1d_cols(cols, w.data, xd.shape[1], None if b is None else b.data)
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g: np.ndarray) -> None:
-        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, swap(g), xd.shape[2], stride,
+        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g.swapaxes(0, 1), xd.shape[2], stride,
                                          need_dx=x.requires_grad)
         if x.requires_grad:
-            x._accumulate(swap(dx))
+            x._accumulate(dx.swapaxes(0, 1))
         if w.requires_grad:
             w._accumulate(dw)
         if b is not None and b.requires_grad:
-            b._accumulate(_channel_sum(g, axis=channel_axis).astype(g.dtype))
+            b._accumulate(_channel_sum(g).astype(g.dtype))
 
-    return _node(swap(y), parents, bwd, "conv1d")
+    return _node(y.swapaxes(0, 1), parents, bwd, "conv1d")
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
-    """Non-overlapping max pool along the last axis of [B,C,L] (or [C,B,L])."""
+    """Non-overlapping max pool along the last axis of [B,C,L]."""
     if x.data.ndim != 3:
         raise DimensionError(f"maxpool1d expects rank-3 input, got shape {x.data.shape}")
     if width < 1:
@@ -478,7 +467,7 @@ def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
 
 
 def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
-    """Nearest-neighbor repeat along the last axis of [B,C,L] (or [C,B,L])."""
+    """Nearest-neighbor repeat along the last axis of [B,C,L], in x's memory order."""
     if x.data.ndim != 3:
         raise DimensionError(f"upsample1d expects rank-3 input, got shape {x.data.shape}")
     if factor < 1:
@@ -487,12 +476,17 @@ def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             # adding strided slices beats a sum over a short trailing axis ~20x
-            gx = g[:, :, 0::factor].copy()
+            gx = g[:, :, 0::factor].copy(order="K")
             for j in range(1, factor):
                 gx += g[:, :, j::factor]
             x._accumulate(gx)
 
-    return _node(np.repeat(x.data, factor, axis=2), (x,), bwd, "upsample1d")
+    # np.repeat would give C order
+    b, c, length = x.data.shape
+    y = np.empty_like(x.data, shape=(b, c, length * factor))
+    for j in range(factor):
+        y[:, :, j::factor] = x.data
+    return _node(y, (x,), bwd, "upsample1d")
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +500,12 @@ def batch_norm(
     eps: float,
     running: Optional[tuple[np.ndarray, np.ndarray]] = None,
     relu: bool = False,
-    *,
-    channel_axis: int = 1,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Per-channel normalization of [B,C] or [B,C,L], scaled by gamma [C], shifted by beta [C].
 
-    channel_axis=0 takes and gives [C,B,L] instead. With `running` None, x is
-    normalized by its own batch mean and population variance over every axis
-    but the channel axis, and the gradient flows through both in
-    closed form (Ioffe & Szegedy 2015). With running = (mean, var) those are
+    With `running` None, x is normalized by its own batch mean and
+    population variance over every axis but the channel axis 1, and the
+    gradient flows through both in closed form (Ioffe & Szegedy 2015). With running = (mean, var) those are
     constants. `relu` applies max(., 0) to the output inside the same op.
     Returns the output and the mean and variance used, in x's dtype.
     """
@@ -522,21 +513,20 @@ def batch_norm(
     if xd.ndim not in (2, 3):
         raise DimensionError(f"batch_norm needs rank 2 or 3 input, got shape {xd.shape}")
     c = gamma.data.shape[0]
-    if xd.shape[channel_axis] != c:
+    if xd.shape[1] != c:
         raise DimensionError(f"batch_norm: expected {c} channels, got shape {xd.shape}")
     _match_dtypes(x, gamma, "batch_norm")
-    shape = [1] * xd.ndim
-    shape[channel_axis] = c
+    shape = (1, c) + (1,) * (xd.ndim - 2)
     n = xd.size // c
     with np.errstate(over="ignore", invalid="ignore"):  # overflow becomes a NumericsError
         if running is None:
-            if xd.shape[1 - channel_axis] < 2:
+            if xd.shape[0] < 2:
                 raise DimensionError(
                     "train-mode batch_norm needs batch size >= 2 to estimate variance"
                 )
-            mean = (_channel_sum(xd, axis=channel_axis) / n).astype(xd.dtype)
+            mean = (_channel_sum(xd) / n).astype(xd.dtype)
             xc = xd - mean.reshape(shape)
-            var = (_channel_sum(xc, xc, channel_axis) / n).astype(xd.dtype)
+            var = (_channel_sum(xc, xc) / n).astype(xd.dtype)
             # an infinite variance would scale every output to beta, past the output check
             _check_finite(var, "batch_norm")
         else:
@@ -553,9 +543,8 @@ def batch_norm(
     def bwd(g: np.ndarray) -> None:
         if relu:
             g = g * mask
-        gsum = _channel_sum(g, axis=channel_axis)
-        gxc = (_channel_sum(g, xc, channel_axis) if gamma.requires_grad or running is None
-               else None)
+        gsum = _channel_sum(g)
+        gxc = _channel_sum(g, xc) if gamma.requires_grad or running is None else None
         if beta.requires_grad:
             beta._accumulate(gsum.astype(xd.dtype))
         if gamma.requires_grad:

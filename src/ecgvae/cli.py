@@ -19,12 +19,10 @@ import os
 
 
 def _configure_threads() -> None:
-    """Pin BLAS pools before numpy loads; ECGVAE_THREADS overrides (default 1)."""
-    raw = os.environ.get("ECGVAE_THREADS", "1").strip()
-    n = raw if raw.isdigit() and int(raw) > 0 else "1"
+    """Pin BLAS pools to one thread before numpy loads, unless a variable is already set."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, n)
+        os.environ.setdefault(var, "1")
 
 
 _configure_threads()

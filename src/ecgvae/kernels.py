@@ -5,16 +5,20 @@ et al. 2006): one shifted row copy per tap unfolds x into columns [Ci*K, B*Lout]
 zero where a tap reads the padding. The forward matmul's [Co, B*Lout] already
 is the output [Co, B, Lout]; backward views dy as [Co, B*Lout] for the dw and
 dcols matmuls and folds dcols straight into [Ci, B, L]. autodiff keeps the
-columns for the backward pass. conv1d_fwd/conv1d_bwd keep the [B, C, L]
-signature for other callers by swapping axes 0 and 1 around that one path.
+columns for the backward pass. conv1d_fwd/conv1d_bwd take and give [B, C, L]
+by swapping axes 0 and 1 (a view) around that one path, so their output is
+channel-major in memory.
 
 Max pooling is a running max over the `width` strided slices of each window;
-maxpool1d_fwd also marks the winning slice in a boolean route mask, so the
-backward pass is `width` strided multiplies. It reads only the last axis, so
-[B, C, L] and [C, B, L] pool alike. Kernels do no validation: the calling
-layer code does. Convolution is cross-correlation (no kernel flip) with zero
-padding of (K - 1) // 2 on each side, so the output length is ceil(L / stride).
-Pooling is non-overlapping with a trailing partial window dropped.
+maxpool1d_fwd also marks the winning slice in a route of `width` boolean
+masks, each shaped and laid out like the output, so the backward pass is
+`width` strided multiplies. Pooling reads only the last axis and allocates
+like its input, so channel-major memory stays channel-major.
+
+Kernels do no validation: the calling layer code does. Convolution is
+cross-correlation (no kernel flip) with zero padding of (K - 1) // 2 on each
+side, so the output length is ceil(L / stride). Pooling is non-overlapping
+with a trailing partial window dropped.
 """
 
 from __future__ import annotations
@@ -120,33 +124,33 @@ def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
     y = x[:, :, 0:n:width]
     for j in range(1, width):
         y = np.maximum(y, x[:, :, j:n:width])
-    return y if width > 1 else y.copy()  # width 1 would return a view of x
+    return y if width > 1 else y.copy(order="K")  # width 1 would return a view of x
 
 
-def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """maxpool1d and a route mask [N0,N1,width,Lout], True at each window's first maximum."""
-    lout = x.shape[2] // width
-    n = lout * width
+def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """maxpool1d and its route: `width` masks [N0,N1,Lout], True at each window's first maximum."""
+    n = x.shape[2] // width * width
     y = x[:, :, 0:n:width]
     # first mark each offset that beats every earlier one; strictly, so a tie
     # keeps the earlier offset. The last offset so marked holds the maximum.
-    route = np.empty(x.shape[:2] + (width, lout), dtype=bool)
-    route[:, :, 0] = True
+    route = [np.ones_like(y, dtype=bool)]
     for j in range(1, width):
         s = x[:, :, j:n:width]
-        np.greater(s, y, out=route[:, :, j])
+        route.append(np.greater(s, y))
         y = np.maximum(y, s)
     for j in range(width - 1, 0, -1):
-        route[:, :, :j] &= ~route[:, :, j:j + 1]
-    return (y if width > 1 else y.copy()), route
+        later = ~route[j]
+        for earlier in route[:j]:
+            earlier &= later
+    return (y if width > 1 else y.copy(order="K")), route
 
 
-def maxpool1d_bwd(dy: np.ndarray, route: np.ndarray, length: int) -> np.ndarray:
+def maxpool1d_bwd(dy: np.ndarray, route: list[np.ndarray], length: int) -> np.ndarray:
     """Send upstream dy [N0,N1,Lout] back to the window maxima named by `route`."""
-    width, lout = route.shape[2:]
-    n = lout * width
-    dx = np.empty(dy.shape[:2] + (length,), dtype=dy.dtype)
+    width = len(route)
+    n = dy.shape[2] * width
+    dx = np.empty_like(dy, shape=dy.shape[:2] + (length,))
     dx[:, :, n:] = 0
-    for j in range(width):
-        np.multiply(dy, route[:, :, j], out=dx[:, :, j:n:width])
+    for j, mask in enumerate(route):
+        np.multiply(dy, mask, out=dx[:, :, j:n:width])
     return dx

@@ -9,11 +9,9 @@ train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
 as that one op with the ReLU fused in; the layer list, and with it the
 checkpoint layout, stays as written.
 
-Sequential also switches layout: a chain holding a Conv1d runs a rank-3
-input channel-major, [C, B, L], which is the conv kernels' own layout. It
-swaps axes 0 and 1 once on entry and once on exit, and passes
-channel_axis=0 to its Conv1d and BatchNorm1d layers; pooling and upsampling
-read only the last axis. Each layer called on its own takes [B, C, L].
+Every layer takes and gives [B, C, L] (or [B, F]). A conv chain runs
+channel-major in memory: Conv1d's output is a [B, C, L] view of [C, B, L]
+memory, and the layers after it keep that memory order.
 """
 
 from __future__ import annotations
@@ -89,9 +87,8 @@ class Conv1d(Layer):
         )
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
 
-    def forward(self, x: Tensor, train: bool = False, channel_axis: int = 1) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, stride=self.stride,
-                         channel_axis=channel_axis)
+    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        return ad.conv1d(x, self.weight, self.bias, stride=self.stride)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}weight", self.weight), (f"{prefix}bias", self.bias)]
@@ -121,11 +118,9 @@ class BatchNorm1d(Layer):
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
 
-    def forward(self, x: Tensor, train: bool = False, relu: bool = False,
-                channel_axis: int = 1) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False, relu: bool = False) -> Tensor:
         running = None if train else (self.running_mean, self.running_var)
-        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running, relu=relu,
-                                       channel_axis=channel_axis)
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps, running, relu=relu)
         if train:
             m = self.momentum
             self.running_mean = (
@@ -173,13 +168,8 @@ class Sequential(Layer):
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
-        self._conv_chain = any(isinstance(layer, Conv1d) for layer in self.layers)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        channel_major = self._conv_chain and x.data.ndim == 3
-        axis = 0 if channel_major else 1
-        if channel_major:
-            x = ad.swap01(x)
         fused = False
         for layer, nxt in zip(self.layers, self.layers[1:] + [None]):
             if fused:  # this ReLU already ran inside the preceding batch norm
@@ -187,12 +177,10 @@ class Sequential(Layer):
                 continue
             fused = isinstance(layer, BatchNorm1d) and isinstance(nxt, ReLU)
             if isinstance(layer, BatchNorm1d):
-                x = layer.forward(x, train=train, relu=fused, channel_axis=axis)
-            elif isinstance(layer, Conv1d):
-                x = layer.forward(x, channel_axis=axis)
+                x = layer.forward(x, train=train, relu=fused)
             else:
                 x = layer(x, train=train)
-        return ad.swap01(x) if channel_major else x
+        return x
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         out: list[tuple[str, Parameter]] = []

@@ -451,7 +451,7 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
     if ticks[-1] != length - 1:
         ticks.append(length - 1)
     for t in ticks:
-        x = _f(float(xs[t]))
+        x = xs[t]
         out.append(f'<line x1="{x}" y1="{axis_y}" x2="{x}" y2="{axis_y + 5}" '
                    f'stroke="#444444" stroke-width="1.0"/>')
         out.append(f'<text x="{x}" y="{axis_y + 18}" font-family="monospace" '

@@ -1,5 +1,6 @@
 """CLI exit codes, artifact writing, config precedence, error categories."""
 
+import os
 import struct
 import subprocess
 import sys
@@ -526,3 +527,17 @@ class TestParsing:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_thread_pins_default_to_one_and_yield_to_preset_values(self, monkeypatch):
+        preset = {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}
+        unset = ("OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+        for var, value in preset.items():
+            monkeypatch.setenv(var, value)
+        for var in unset:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("ECGVAE_THREADS", "4")  # not a knob: only the BLAS variables count
+        ecgvae.cli._configure_threads()
+        for var, value in preset.items():
+            assert os.environ[var] == value
+        for var in unset:
+            assert os.environ[var] == "1"

@@ -97,6 +97,11 @@ def naive_pool(x, width):
     return y, first
 
 
+def channel_major(a):
+    """The same [B,C,L] array, held in [C,B,L] memory as the conv chains hold it."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 class TestConvOracle:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -111,6 +116,12 @@ class TestConvOracle:
         dx_ref, dw_ref = naive_conv_bwd(x, w, stride, dy)
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-12)
+        xc, dyc = channel_major(x), channel_major(dy)
+        np.testing.assert_array_equal(kernels.conv1d_fwd(xc, w, stride),
+                                      kernels.conv1d_fwd(x, w, stride))
+        dxc, dwc = kernels.conv1d_bwd(xc, w, stride, dyc)
+        np.testing.assert_array_equal(dxc, dx)
+        np.testing.assert_array_equal(dwc, dw)
 
     def test_kernel_wider_than_input(self, rng):
         # every tap but the center reads padding, at both ends
@@ -148,6 +159,11 @@ class TestPoolOracle:
         dx_ref = np.zeros_like(x)
         np.put_along_axis(dx_ref, first, dy, axis=2)
         np.testing.assert_array_equal(kernels.maxpool1d_bwd(dy, route, length), dx_ref)
+        xc, dyc = channel_major(x), channel_major(dy)
+        yc, route_c = kernels.maxpool1d_fwd(xc, width)
+        np.testing.assert_array_equal(yc, y)
+        np.testing.assert_array_equal(kernels.maxpool1d(xc, width), y)
+        np.testing.assert_array_equal(kernels.maxpool1d_bwd(dyc, route_c, length), dx_ref)
 
 
 class TestMaxPool:

@@ -209,16 +209,41 @@ def _model_chain(name: str, seed: int) -> list:
     return getattr(VaeModel.build(seed=seed), name).layers
 
 
+def _c_order_nodes(monkeypatch) -> None:
+    """Make every op output, and every gradient a backward closure gets, a C-order copy."""
+    node = ad._node
+
+    def c_order_node(data, parents, bwd, op):
+        c_bwd = None if bwd is None else (lambda g: bwd(np.ascontiguousarray(g)))
+        return node(np.ascontiguousarray(data), parents, c_bwd, op)
+
+    monkeypatch.setattr(ad, "_node", c_order_node)
+
+
+def _tape(out: Tensor) -> list[Tensor]:
+    """Every op output recorded on the tape behind `out`, `out` included."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.op == "leaf":
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
+
+
 class TestChannelMajorChains:
-    """Sequential runs conv chains in [C,B,L]; the layers one by one run [B,C,L]."""
+    """Conv chains run channel-major in memory; [B,C,L] is the only layout in shape."""
 
     @pytest.mark.parametrize("chain,in_shape", [
         ("enc_conv", (6, 1, 400)), ("dec_conv", (6, 1, 25)), ("stride2", (5, 3, 37)),
     ])
     @pytest.mark.parametrize("train", [True, False])
-    def test_sequential_matches_layer_by_layer_bitwise(self, chain, in_shape, train):
+    def test_sequential_matches_layer_by_layer_bitwise(self, chain, in_shape, train,
+                                                       monkeypatch):
+        # oracle: the layers one by one, unfused, with every array forced to C order
         build = _stride2_chain if chain == "stride2" else (lambda s: _model_chain(chain, s))
-        seq_layers, ref_layers = build(11), build(11)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(in_shape).astype(np.float32)
 
@@ -229,28 +254,48 @@ class TestChannelMajorChains:
             ad.reduce_sum(out * Tensor(g)).backward()
             params = [p.grad for layer in layers for _, p in layer.named_parameters()]
             state = [a for layer in layers for _, a in layer.named_state()]
-            return out.data, xt.grad, params, state
+            return [out.data, xt.grad] + params + state
 
-        def one_by_one(xt):
-            for layer in ref_layers:
-                xt = layer(xt, train=train)
-            return xt
+        def one_by_one(layers):
+            def forward(xt):
+                for layer in layers:
+                    xt = layer(xt, train=train)
+                return xt
+            return forward
 
+        seq_layers, ref_layers, c_layers = build(11), build(11), build(11)
         seq = Sequential(seq_layers)
         got = run(lambda xt: seq(xt, train=train), seq_layers)
-        want = run(one_by_one, ref_layers)
-        assert got[0].shape == want[0].shape
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert len(got[2]) == len(want[2]) and len(got[3]) == len(want[3])
-        for a, b in zip(got[2] + got[3], want[2] + want[3]):
+        want = run(one_by_one(ref_layers), ref_layers)
+        with monkeypatch.context() as m:
+            _c_order_nodes(m)
+            c_order = run(one_by_one(c_layers), c_layers)
+        assert len(got) == len(want) == len(c_order)
+        for a, b, c in zip(got, want, c_order):
+            assert a.shape == b.shape == c.shape
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
-    def test_swap_happens_only_around_conv_chains(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
-        conv = Sequential([Conv1d(3, 4, 3, rng=rng), ReLU()])
-        assert conv(x).op == "swap01" and conv(x).data.shape == (2, 4, 8)
-        assert Sequential([BatchNorm1d(3), ReLU()])(x).op == "batch_norm"
+    @pytest.mark.parametrize("chain,in_shape", [("enc_conv", (4, 1, 400)),
+                                                ("dec_conv", (4, 1, 25))])
+    def test_rank3_op_outputs_stay_channel_major(self, chain, in_shape):
+        seq = getattr(VaeModel.build(seed=3), chain)
+        x = np.random.default_rng(7).standard_normal(in_shape).astype(np.float32)
+        for train in (True, False):
+            out = seq(Tensor(x, requires_grad=True), train=train)
+            if train:
+                ad.reduce_sum(out).backward()
+            checked = 0
+            for t in _tape(out):
+                if t.data.ndim != 3 or t.data.shape[1] < 2:
+                    continue
+                arrays = {"data": t.data, "grad": t.grad} if train else {"data": t.data}
+                for what, a in arrays.items():
+                    assert a is not None, f"{t.op} {t.data.shape} has no {what}"
+                    assert a.swapaxes(0, 1).flags.c_contiguous, \
+                        f"{t.op} {t.data.shape} {what} fell back from channel-major"
+                checked += 1
+            assert checked >= 6
 
     def test_tape_off_pool_matches_and_builds_no_route(self, rng, monkeypatch):
         x = Tensor(rng.standard_normal((3, 4, 21)).astype(np.float32), requires_grad=True)
