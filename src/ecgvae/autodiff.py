@@ -22,8 +22,10 @@ upsampling and back through their gradients.
 Each op checks its own output for NaN/Inf once and raises NumericsError
 immediately, which keeps a diverging training run from silently poisoning
 later epochs; overflow inside an op is silenced and surfaces through that
-check. Arrays are float32 or float64; reductions accumulate in float64 and
-cast back.
+check. reshape alone skips it: its output is a view of its input's values,
+which an earlier op has checked or, for a leaf, the next op's check sees (in
+the model, the conv or dense op after it). Arrays are float32 or float64;
+reductions accumulate in float64 and cast back.
 """
 
 from __future__ import annotations
@@ -216,8 +218,10 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _recording.get() and any(p.requires_grad for p in parents)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str) -> Tensor:
-    _check_finite(data, op)
+def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str,
+          check: bool = True) -> Tensor:
+    if check:
+        _check_finite(data, op)
     if _records(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=bwd, op=op)
     return Tensor(data, op=op)
@@ -357,7 +361,8 @@ def reshape(x: Tensor, shape) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(x.data.shape))
 
-    return _node(out_data, (x,), bwd, "reshape")
+    # a view of x's values: checked already, or by the next op if x is a leaf
+    return _node(out_data, (x,), bwd, "reshape", check=False)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -428,7 +433,8 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) ->
     # the kernels take [C,B,L]; swapping axes 0 and 1 (a view) maps [B,C,L] there and back
     xd = x.data.swapaxes(0, 1)
     cols = kernels.im2col(xd, w.data.shape[2], stride)
-    y = kernels.conv1d_cols(cols, w.data, xd.shape[1], None if b is None else b.data)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
+        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], None if b is None else b.data)
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g: np.ndarray) -> None:

@@ -5,19 +5,28 @@ around the QRS band (5-15 Hz), squared derivative, moving-window integration,
 then peak picking against half of a rolling maximum. Detections are refined
 to the raw-signal maximum near the center of the energy window, so reported
 indices land on the R peak itself.
+
+The band-pass is designed once per sampling rate. `preprocess_records`
+filters the (segment, lead) rows of all records together, in stacks of rows
+that share a rate and length, each stack bounded to _STACK_SAMPLES samples so
+that peak memory does not grow with the record count; only peak picking and
+refinement run row by row. Cycles are cut by one gather per row.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import butter, filtfilt, find_peaks
 
-from .data import CYCLE_LEN, EcgRecord, RPeakList
+from .data import CYCLE_LEN, EcgRecord, RPeakList, check_sampling_rate
 from .errors import DimensionError
 
 REFRACTORY_S = 0.2  # minimum believable gap between two R peaks
 SEGMENT_S = 9.0
+_STACK_SAMPLES = 2 ** 18  # samples per detection stack: ~58 rows of 9 s at 500 Hz
 
 
 def cut_segments(record: EcgRecord, seconds: float = SEGMENT_S) -> list[EcgRecord]:
@@ -38,54 +47,65 @@ def cut_segments(record: EcgRecord, seconds: float = SEGMENT_S) -> list[EcgRecor
     return out
 
 
-def detect_r_peaks(lead: np.ndarray, fs: float) -> RPeakList:
-    """Locate R peaks in one lead; an empty result carries a warning, not an error."""
-    lead = np.asarray(lead, dtype=np.float64).reshape(-1)
-    if fs <= 0:
-        raise ValueError(f"sampling rate must be positive, got {fs}")
-    if lead.shape[0] < int(fs):
-        raise DimensionError(
-            f"lead too short for detection: {lead.shape[0]} samples at {fs} Hz"
-        )
-
+@lru_cache(maxsize=8)
+def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-order Butterworth band-pass around the QRS band (5-15 Hz), read-only."""
     nyq = fs / 2.0
     b, a = butter(1, [5.0 / nyq, 15.0 / nyq], btype="bandpass")
-    filtered = filtfilt(b, a, lead)
-    deriv = np.diff(filtered, prepend=filtered[:1])
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
+def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
+    """R peaks of each row of stack [S, L] float64, every row sampled at fs."""
+    fs = check_sampling_rate(fs)
+    n = stack.shape[-1]
+    if n < int(fs):
+        raise DimensionError(f"lead too short for detection: {n} samples at {fs} Hz")
+
+    b, a = _bandpass(fs)
+    filtered = filtfilt(b, a, stack, axis=-1)
+    deriv = np.diff(filtered, axis=-1, prepend=filtered[:, :1])
     energy = deriv * deriv
 
     win = max(1, int(round(0.15 * fs)))
-    csum = np.cumsum(np.concatenate(([0.0], energy)))
-    mwi = (csum[win:] - csum[:-win]) / win
-    mwi = np.concatenate((np.full(win - 1, mwi[0] if mwi.size else 0.0), mwi))
+    csum = np.cumsum(np.concatenate((np.zeros((stack.shape[0], 1)), energy), axis=-1), axis=-1)
+    mwi = (csum[:, win:] - csum[:, :-win]) / win
+    mwi = np.concatenate((np.repeat(mwi[:, :1], win - 1, axis=-1), mwi), axis=-1)
 
     # adaptive threshold: half the local (~2 s window) maximum of the envelope
-    roll = maximum_filter1d(mwi, size=max(1, int(round(2.0 * fs))), mode="nearest")
+    roll = maximum_filter1d(mwi, size=max(1, int(round(2.0 * fs))), axis=-1, mode="nearest")
     refractory = max(1, int(round(REFRACTORY_S * fs)))
-    cand, _ = find_peaks(mwi, distance=refractory)
-    cand = cand[mwi[cand] >= 0.5 * roll[cand]]
-
     # the integration window trails the QRS by ~win/2; search raw near its center
     half = int(round(0.05 * fs))
-    refined: list[int] = []
-    for c in cand:
-        anchor = max(0, c - win // 2)
-        lo = max(0, anchor - half)
-        hi = min(lead.shape[0], anchor + half + 1)
-        refined.append(lo + int(np.argmax(lead[lo:hi])))
+    out = []
+    for lead, env, top in zip(stack, mwi, roll):
+        cand, _ = find_peaks(env, distance=refractory)
+        cand = cand[env[cand] >= 0.5 * top[cand]]
+        refined: list[int] = []
+        for c in cand:
+            anchor = max(0, c - win // 2)
+            lo = max(0, anchor - half)
+            refined.append(lo + int(np.argmax(lead[lo:anchor + half + 1])))
 
-    # duplicates can refine to the same peak; keep the taller of close pairs
-    kept: list[int] = []
-    for p in sorted(refined):
-        if kept and p - kept[-1] < refractory:
-            if lead[p] > lead[kept[-1]]:
-                kept[-1] = p
-        else:
-            kept.append(p)
+        # duplicates can refine to the same peak; keep the taller of close pairs
+        kept: list[int] = []
+        for p in sorted(refined):
+            if kept and p - kept[-1] < refractory:
+                if lead[p] > lead[kept[-1]]:
+                    kept[-1] = p
+            else:
+                kept.append(p)
 
-    indices = np.asarray(kept, dtype=np.int64)
-    warning = None if indices.size else "no QRS-like activity above threshold"
-    return RPeakList(indices=indices, detector_name="bandpass-mwi", warning=warning)
+        indices = np.asarray(kept, dtype=np.int64)
+        warning = None if indices.size else "no QRS-like activity above threshold"
+        out.append(RPeakList(indices=indices, detector_name="bandpass-mwi", warning=warning))
+    return out
+
+
+def detect_r_peaks(lead: np.ndarray, fs: float) -> RPeakList:
+    """Locate R peaks in one lead; an empty result carries a warning, not an error."""
+    return _detect_rows(np.asarray(lead, dtype=np.float64).reshape(1, -1), fs)[0]
 
 
 def extract_cycles(lead: np.ndarray, peaks, half_width: int = CYCLE_LEN // 2,
@@ -100,23 +120,15 @@ def extract_cycles(lead: np.ndarray, peaks, half_width: int = CYCLE_LEN // 2,
     if half_width < 1:
         raise ValueError(f"half_width must be >= 1, got {half_width}")
     idx = peaks.indices if isinstance(peaks, RPeakList) else np.asarray(peaks, dtype=np.int64)
-    n = lead.shape[0]
-    rows = []
-    skipped = 0
-    for r in idx:
-        lo = int(r) - half_width
-        hi = int(r) + half_width
-        if lo < 0 or hi > n:
-            skipped += 1
-            continue
-        w = lead[lo:hi].astype(np.float32)
-        if remove_baseline:
-            edges = np.concatenate((w[:10], w[-10:]))
-            w = w - np.float32(edges.mean(dtype=np.float64))
-        rows.append(w)
-    if rows:
-        return np.stack(rows), skipped
-    return np.empty((0, 2 * half_width), dtype=np.float32), skipped
+    inside = (idx >= half_width) & (idx <= lead.shape[0] - half_width)
+    skipped = int(idx.size - np.count_nonzero(inside))
+    if not inside.any():
+        return np.empty((0, 2 * half_width), dtype=np.float32), skipped
+    rows = lead[idx[inside, None] + np.arange(-half_width, half_width)]
+    if remove_baseline:
+        edges = np.concatenate((rows[:, :10], rows[:, -10:]), axis=1)
+        rows -= edges.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    return rows, skipped
 
 
 def preprocess_records(
@@ -128,26 +140,38 @@ def preprocess_records(
     Returns (cycles [n, 2 * half_width], [(record_id, lead_id)] per cycle,
     stats with detected/skipped counts).
     """
-    all_rows = []
-    meta: list[tuple[str, int]] = []
     stats = {"records": 0, "segments": 0, "peaks": 0, "skipped_windows": 0,
              "empty_segments": 0}
+    rows: list[tuple[str, int, np.ndarray]] = []  # (segment id, lead id, lead)
+    stacks: dict[tuple[float, int], list[int]] = {}  # (rate, length) -> row numbers
     for rec in records:
         stats["records"] += 1
         for seg in cut_segments(rec, seconds):
             stats["segments"] += 1
-            for lead_id in range(seg.n_leads):
-                peaks = detect_r_peaks(seg.leads[lead_id], seg.sampling_rate_hz)
-                if peaks.warning is not None:
-                    stats["empty_segments"] += 1
-                stats["peaks"] += len(peaks)
-                rows, skipped = extract_cycles(
-                    seg.leads[lead_id], peaks, half_width, remove_baseline
-                )
-                stats["skipped_windows"] += skipped
-                if rows.shape[0]:
-                    all_rows.append(rows)
-                    meta.extend([(seg.record_id, lead_id)] * rows.shape[0])
+            for lead_id, lead in enumerate(seg.leads):
+                stacks.setdefault((seg.sampling_rate_hz, seg.n_samples), []).append(len(rows))
+                rows.append((seg.record_id, lead_id, lead))
+
+    peaks: dict[int, RPeakList] = {}
+    for (fs, n), members in stacks.items():
+        per_stack = max(1, _STACK_SAMPLES // n)
+        for at in range(0, len(members), per_stack):
+            chunk = members[at:at + per_stack]
+            stack = np.array([rows[i][2] for i in chunk], dtype=np.float64)
+            peaks.update(zip(chunk, _detect_rows(stack, fs)))
+
+    all_rows = []
+    meta: list[tuple[str, int]] = []
+    for i, (seg_id, lead_id, lead) in enumerate(rows):
+        found = peaks[i]
+        if found.warning is not None:
+            stats["empty_segments"] += 1
+        stats["peaks"] += len(found)
+        cut, skipped = extract_cycles(lead, found, half_width, remove_baseline)
+        stats["skipped_windows"] += skipped
+        if cut.shape[0]:
+            all_rows.append(cut)
+            meta.extend([(seg_id, lead_id)] * cut.shape[0])
     if all_rows:
         cycles = np.concatenate(all_rows, axis=0)
     else:

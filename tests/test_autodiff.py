@@ -201,6 +201,11 @@ class TestNumericsGuard:
         with pytest.raises(NumericsError):
             x * 1.0
 
+    def test_reshape_leaves_the_check_to_the_next_op(self):
+        y = ad.reshape(Tensor(np.array([np.nan, 1.0])), (1, 2))
+        with pytest.raises(NumericsError, match="'mul'"):
+            y * 1.0
+
     def test_batch_norm_variance_overflow_raises(self):
         # finite float32 inputs whose variance overflows: without the check the
         # output would silently collapse to beta

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 
@@ -321,6 +322,24 @@ class TestHostileSizes:
         assert main(["preprocess", "--in", str(records),
                      "--out", str(tmp_path / "d.ecgc")]) == 2
         assert "bad array shape" in capsys.readouterr().err
+
+    def test_half_width_of_10_pow_12_is_exit_2_without_allocating(self, pipeline, tmp_path,
+                                                                   capsys):
+        _, records, _, _ = pipeline
+        import ecgvae.preprocess  # noqa: F401  (loaded outside the trace: scipy is ~44 MB)
+        tracemalloc.start()
+        try:
+            code = main(["preprocess", "--in", str(records), "--half-width", str(10 ** 12),
+                         "--out", str(tmp_path / "d.ecgc")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "produced zero cycles" in err
+        assert not (tmp_path / "d.ecgc").exists()
+        # no window fits, so no gather index is built: 2e12 offsets would be 16 TB
+        assert peak < 5e6, f"preprocess peak {peak / 1e6:.1f} MB"
 
     def test_checkpoint_tensor_of_zero_size_and_huge_shape_is_exit_2(self, pipeline, tmp_path,
                                                                      capsys):

@@ -1,6 +1,7 @@
 """Model contracts: shapes, loss formulas vs oracles, determinism, gradients."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ class TestTapeFreeEval:
             model.encode(np.full((2, 400), np.inf, dtype=np.float32))
         mu, lv = model.encode(np.zeros((2, 400), dtype=np.float32), train=True)
         assert mu.requires_grad and lv.requires_grad and mu._parents
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_caught_after_the_unchecked_reshape(self, train, bad):
+        # the first op on the input is a reshape, which skips the finite check;
+        # the conv after it raises, without a RuntimeWarning from its matmul
+        x = np.zeros((2, 400), dtype=np.float32)
+        x[1] = bad  # a row of inf makes inf - inf in the conv sums
+        model = VaeModel.build(seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match="conv1d"):
+                model.encode(x, train=train)
 
     def test_encode_batch_keeps_no_graph_alive(self, rng):
         model = VaeModel.build(seed=0)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ecgvae import preprocess
 from ecgvae.data import EcgRecord, RPeakList
 from ecgvae.errors import DimensionError
 from ecgvae.preprocess import (
+    SEGMENT_S,
     cut_segments,
     detect_r_peaks,
     extract_cycles,
@@ -25,6 +27,49 @@ def match_counts(found: np.ndarray, truth: np.ndarray, tol: int = 10):
             used[int(np.argmin(d))] = True
             tp += 1
     return tp, truth.size - tp, int((~used).sum())
+
+
+def per_lead_oracle(records, seconds=SEGMENT_S, half_width=200, remove_baseline=True):
+    """preprocess_records as one detect_r_peaks / extract_cycles call per (segment, lead)."""
+    rows, meta = [], []
+    stats = {"records": 0, "segments": 0, "peaks": 0, "skipped_windows": 0,
+             "empty_segments": 0}
+    for rec in records:
+        stats["records"] += 1
+        for seg in cut_segments(rec, seconds):
+            stats["segments"] += 1
+            for lead_id in range(seg.n_leads):
+                peaks = detect_r_peaks(seg.leads[lead_id], seg.sampling_rate_hz)
+                stats["empty_segments"] += peaks.warning is not None
+                stats["peaks"] += len(peaks)
+                cut, skipped = extract_cycles(seg.leads[lead_id], peaks, half_width,
+                                              remove_baseline)
+                stats["skipped_windows"] += skipped
+                rows.append(cut)
+                meta.extend([(seg.record_id, lead_id)] * cut.shape[0])
+    return np.concatenate(rows), meta, stats
+
+
+def loop_extract(lead, indices, half_width, remove_baseline=True):
+    """extract_cycles as one slice per peak."""
+    rows, skipped = [], 0
+    for r in indices:
+        lo, hi = int(r) - half_width, int(r) + half_width
+        if lo < 0 or hi > lead.shape[0]:
+            skipped += 1
+            continue
+        w = lead[lo:hi].astype(np.float32)
+        if remove_baseline:
+            w = w - np.float32(np.concatenate((w[:10], w[-10:])).mean(dtype=np.float64))
+        rows.append(w)
+    return (np.stack(rows) if rows else np.empty((0, 2 * half_width), np.float32)), skipped
+
+
+def assert_same_bits(got, want):
+    (c1, m1, s1), (c2, m2, s2) = got, want
+    assert c1.dtype == c2.dtype and c1.shape == c2.shape
+    assert c1.tobytes() == c2.tobytes()
+    assert m1 == m2 and s1 == s2
 
 
 class TestCutSegments:
@@ -99,6 +144,11 @@ class TestDetector:
         with pytest.raises(ValueError):
             detect_r_peaks(np.zeros(5000), 0.0)
 
+    @pytest.mark.parametrize("fs", [np.inf, np.nan, -np.inf])
+    def test_non_finite_fs_is_a_value_error_naming_the_rate(self, fs):
+        with pytest.raises(ValueError, match=f"sampling rate .* got {fs}"):
+            detect_r_peaks(np.zeros(5000), fs)
+
 
 class TestExtractCycles:
     def test_window_bounds_and_skips(self):
@@ -135,6 +185,30 @@ class TestExtractCycles:
                                        np.array([], dtype=np.int64))
         assert rows.shape == (0, 400) and skipped == 0
 
+    @pytest.mark.parametrize("half_width,remove_baseline", [(200, True), (200, False),
+                                                            (4, True), (37, True)])
+    def test_gather_matches_slice_loop_bitwise(self, half_width, remove_baseline):
+        record, _ = gen_record(MorphologyParams(heart_rate_bpm=95.0, noise_std=0.05, seed=4),
+                               duration_s=10.0)
+        lead = record.leads[0]
+        # every detected peak, windows that just fit or just cross either end, and
+        # out-of-range indices
+        n = lead.shape[0]
+        idx = np.concatenate(([-5, 0, 3, half_width - 1, half_width],
+                              detect_r_peaks(lead, 500.0).indices,
+                              [n - half_width, n - half_width + 1, n - 1, n + 9]))
+        rows, skipped = extract_cycles(lead, idx, half_width, remove_baseline)
+        want, want_skipped = loop_extract(lead, idx, half_width, remove_baseline)
+        assert skipped == want_skipped
+        assert rows.dtype == np.float32 and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+
+    def test_huge_half_width_skips_every_peak(self):
+        peaks = np.array([100, 500, 900])
+        rows, skipped = extract_cycles(np.zeros(1000, dtype=np.float32), peaks,
+                                       half_width=10 ** 12)
+        assert rows.shape == (0, 2 * 10 ** 12) and skipped == 3
+
     def test_bad_half_width(self):
         with pytest.raises(ValueError):
             extract_cycles(np.zeros(100), np.array([50]), half_width=0)
@@ -164,3 +238,45 @@ class TestPreprocessRecords:
     def test_empty_input(self):
         cycles, meta, stats = preprocess_records([])
         assert cycles.shape == (0, 400) and meta == [] and stats["records"] == 0
+
+
+class TestBatchedMatchesPerLeadOracle:
+    """preprocess_records detects on stacks; a per-lead loop is its bitwise oracle."""
+
+    def test_three_leads(self):
+        records = [rec for rec, _ in gen_corpus(4, seed=31, duration_s=20.0, n_leads=3)]
+        assert_same_bits(preprocess_records(records), per_lead_oracle(records))
+
+    def test_mixed_rates_and_a_short_record_between(self):
+        at_250 = [rec for rec, _ in gen_corpus(2, seed=32, duration_s=10.0, fs=250.0)]
+        at_500 = [rec for rec, _ in gen_corpus(2, seed=33, duration_s=19.0, n_leads=2)]
+        short = gen_corpus(1, seed=34, duration_s=5.0)[0][0]
+        records = [at_250[0], at_500[0], short, at_250[1], at_500[1]]
+        got = preprocess_records(records)
+        assert got[2]["records"] == 5 and got[2]["segments"] == 6
+        assert {rid.split("#")[0] for rid, _ in got[1]} == {"rec_0000", "rec_0001"}
+        assert_same_bits(got, per_lead_oracle(records))
+        for kw in ({"half_width": 3, "remove_baseline": False}, {"seconds": 2.5}):
+            assert_same_bits(preprocess_records(records, **kw), per_lead_oracle(records, **kw))
+
+    def test_more_rows_than_one_stack_holds(self, monkeypatch):
+        records = [rec for rec, _ in gen_corpus(21, seed=35, duration_s=10.0, n_leads=3)]
+        shapes = []
+        detect = preprocess._detect_rows
+
+        def spy(stack, fs):
+            shapes.append(stack.shape)
+            return detect(stack, fs)
+
+        monkeypatch.setattr(preprocess, "_detect_rows", spy)
+        got = preprocess_records(records)
+        # 63 rows of 4500 samples: a full stack of 58 and one of 5
+        assert shapes == [(58, 4500), (5, 4500)]
+        assert all(s * n <= preprocess._STACK_SAMPLES for s, n in shapes)
+        monkeypatch.setattr(preprocess, "_detect_rows", detect)
+        assert_same_bits(got, per_lead_oracle(records))
+
+    def test_row_longer_than_a_stack_is_detected_alone(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_STACK_SAMPLES", 1000)
+        records = [rec for rec, _ in gen_corpus(2, seed=36, duration_s=10.0, n_leads=2)]
+        assert_same_bits(preprocess_records(records), per_lead_oracle(records))
