@@ -8,7 +8,8 @@ each from its own root, one process at a time; odd pairs run A first and even
 pairs B first, so a drift in machine speed during the series falls on both
 sides instead of reading as an effect. For every metric it prints each side's
 median and quartiles, the ratio of the medians, and in how many pairs B was
-better (direction from BENCHMARK.json). Digests are compared pair by pair.
+better (direction from BENCHMARK.json); each end-to-end metric also gets a
+verdict against its bound (see `verdict`). Digests are compared pair by pair.
 Exits 1 if a run fails its checks or a pair's digests differ.
 """
 
@@ -44,20 +45,47 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def report(pairs: list[tuple[dict, dict]], higher_is_better: dict[str, bool]) -> None:
+def verdict(a: list[float], b: list[float], better: str, bound: float) -> str:
+    """Verdict on one end-to-end metric from paired runs of A (the parent) and B.
+
+    `a[i]` and `b[i]` are pair i; `better` is "higher" or "lower"; `bound` is
+    relative to A's median, as in BENCHMARK.json. The first rule that holds wins:
+    - "regressed": B's median is worse than A's by more than the bound;
+    - "unresolved": A's quartile spread (Q3 - Q1) is wider than the bound and
+      not every B run is better than every A run;
+    - "gain": B is better in at least 9/10 of the pairs, ties counting for
+      neither side, and the medians differ by more than A's quartile spread;
+    - "held" otherwise.
+    """
+    sign = {"higher": 1.0, "lower": -1.0}[better]
+    qa1, ma, qa3 = quartiles(a)
+    shift = sign * (statistics.median(b) - ma)  # > 0 when B's median is better
+    if -shift > bound * abs(ma):
+        return "regressed"
+    if qa3 - qa1 > bound * abs(ma) and not min(sign * y for y in b) > max(sign * x for x in a):
+        return "unresolved"
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    if 10 * wins >= 9 * len(a) and shift > qa3 - qa1:
+        return "gain"
+    return "held"
+
+
+def report(pairs: list[tuple[dict, dict]], better: dict[str, str],
+           bounds: dict[str, float]) -> None:
     n = len(pairs)
     print(f"\n{'metric':<32}{'A median [Q1, Q3]':>40}{'B median [Q1, Q3]':>40}"
           f"{'B/A':>8}  B better")
     for name in pairs[0][0]["metrics"]:
         a = [p[0]["metrics"][name] for p in pairs]
         b = [p[1]["metrics"][name] for p in pairs]
-        up = higher_is_better.get(name, True)
-        wins = sum((y > x) if up else (y < x) for x, y in zip(a, b))
+        way = better.get(name, "higher")
+        wins = sum((y > x) if way == "higher" else (y < x) for x, y in zip(a, b))
         (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
         ratio = f"{mb / ma:8.3f}" if ma else f"{'-':>8}"
+        judged = f", {verdict(a, b, way, bounds[name])}" if name in bounds else ""
         print(f"{name:<32}{f'{ma:.6g} [{qa1:.6g}, {qa3:.6g}]':>40}"
               f"{f'{mb:.6g} [{qb1:.6g}, {qb3:.6g}]':>40}{ratio}  {wins}/{n}"
-              f" ({'higher' if up else 'lower'} is better)")
+              f" ({way} is better{judged})")
 
 
 def main() -> int:
@@ -75,8 +103,8 @@ def main() -> int:
         if not (root / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {root}")
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    higher_is_better = {m["name"]: m["better"] == "higher"
-                        for m in manifest["end_to_end"] + manifest["per_layer"]}
+    better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
 
     pairs, ok = [], True
     for i in range(1, args.pairs + 1):
@@ -89,7 +117,7 @@ def main() -> int:
               f"B={runs['b']['correct']}, digests {'identical' if same else 'DIFFER'}",
               flush=True)
         pairs.append((runs["a"], runs["b"]))
-    report(pairs, higher_is_better)
+    report(pairs, better, bounds)
     return 0 if ok else 1
 
 

@@ -1,39 +1,7 @@
 """ECG cycle autoencoder toolkit.
 
-Kept import-light on purpose: the CLI configures thread environment variables
-before numpy loads, so submodules are imported lazily on first attribute
-access rather than here.
+It imports no submodule, so that the CLI can pin BLAS threads before numpy
+loads: import the module you use, e.g. `from ecgvae import model`.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "autodiff",
-    "cli",
-    "data",
-    "errors",
-    "experiments",
-    "kernels",
-    "layers",
-    "metrics",
-    "model",
-    "optim",
-    "persistence",
-    "preprocess",
-    "synth",
-    "training",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -10,7 +10,9 @@ eval-mode inference runs the same ops without keeping the graph alive.
 Gradient accumulation is additive on purpose: a tensor consumed by two ops
 receives the sum of both contributions.
 
-The op set is exactly what the encoder/decoder stack needs, nothing more.
+The op set is exactly what the encoder/decoder stack and its losses need,
+nothing more: reductions are over the full tensor, and a Tensor's only
+operators are +, - and * with the Tensor on the left.
 Layers that would take many primitive nodes are single ops with a closed-form
 backward: batch_norm (with an optional fused ReLU) is one node, and conv1d
 keeps its im2col columns from the forward pass for the backward pass.
@@ -127,39 +129,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def exp(self):
-        return exp(self)
-
-    def square(self):
-        return square(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _coerce(value, dtype) -> Tensor:
@@ -231,9 +205,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str,
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
+def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a.dtype)
     _match_dtypes(a, b, "add")
     out_data = a.data + b.data
@@ -310,42 +282,24 @@ def relu(x: Tensor) -> Tensor:
 # reductions and shape ops
 
 
-def _norm_axes(axis, ndim: int):
-    if axis is None:
-        return None
-    if not isinstance(axis, tuple):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
-    axes = _norm_axes(axis, x.data.ndim)
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of every element of x, as a 0-d tensor."""
+    out_data = x.data.sum(dtype=np.float64).astype(x.dtype)
 
     def bwd(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gg = g
-        if axes is not None and not keepdims:
-            gg = np.expand_dims(gg, axes)
-        x._accumulate(np.broadcast_to(gg, x.data.shape))
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g, x.data.shape))
 
     return _node(out_data, (x,), bwd, "sum")
 
 
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = x.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
-    axes = _norm_axes(axis, x.data.ndim)
-    count = x.data.size if axes is None else int(np.prod([x.data.shape[a] for a in axes]))
-    inv = 1.0 / count
+def reduce_mean(x: Tensor) -> Tensor:
+    """Mean of every element of x, as a 0-d tensor."""
+    out_data = x.data.mean(dtype=np.float64).astype(x.dtype)
 
     def bwd(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gg = g * g.dtype.type(inv)
-        if axes is not None and not keepdims:
-            gg = np.expand_dims(gg, axes)
-        x._accumulate(np.broadcast_to(gg, x.data.shape))
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g * g.dtype.type(1.0 / x.data.size), x.data.shape))
 
     return _node(out_data, (x,), bwd, "mean")
 

@@ -200,8 +200,8 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def _positive(value: int | float, name: str):
-    if value <= 0:
-        raise UsageError(f"{name} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise UsageError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -221,8 +221,8 @@ def _cmd_synth(args) -> int:
     if (noise_lo is None) != (noise_hi is None):
         raise UsageError("--noise-lo and --noise-hi must be given together")
     if noise_lo is not None:
-        if noise_lo < 0 or noise_hi < noise_lo:
-            raise UsageError("need 0 <= noise-lo <= noise-hi")
+        if not 0 <= noise_lo <= noise_hi < np.inf:
+            raise UsageError(f"need 0 <= noise-lo <= noise-hi < inf, got {noise_lo}, {noise_hi}")
         from dataclasses import replace
         ranges = replace(ranges, noise_std=(noise_lo, noise_hi))
     out_dir: Path = args.out

@@ -1,6 +1,7 @@
-"""Core data types: cycles, records, peak lists, labeled sample sets.
+"""Core data types: records, peak lists, labeled sample sets.
 
-A cardiac cycle is a fixed 400-sample float32 window centered on an R peak.
+A cardiac cycle is a fixed 400-sample float32 window centered on an R peak,
+held as one row of a [n, 400] float32 array; there is no per-cycle type.
 Records hold one or more leads of a longer strip at a known sampling rate.
 Validation happens in the constructors so downstream code can assume shapes.
 """
@@ -8,7 +9,7 @@ Validation happens in the constructors so downstream code can assume shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,25 +18,6 @@ from .errors import DimensionError, NumericsError
 
 CYCLE_LEN = 400
 MAX_LEADS = 12
-
-
-@dataclass
-class CardiacCycle:
-    """One R-centered beat window of exactly CYCLE_LEN samples (millivolts)."""
-
-    samples: np.ndarray
-    lead_id: Optional[int] = None
-    source_record: Optional[str] = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float32).reshape(-1)
-        if arr.shape[0] != CYCLE_LEN:
-            raise DimensionError(
-                f"cardiac cycle must have {CYCLE_LEN} samples, got {arr.shape[0]}"
-            )
-        if not np.isfinite(arr).all():
-            raise NumericsError("cardiac cycle contains non-finite samples")
-        self.samples = arr
 
 
 def check_sampling_rate(fs: float) -> float:
@@ -126,21 +108,10 @@ class SampleSet:
 
 
 def as_cycle_array(data) -> np.ndarray:
-    """Coerce a SampleSet, list of CardiacCycle, or array into [n, 400] float32."""
-    if isinstance(data, SampleSet):
-        return data.cycles
-    if isinstance(data, np.ndarray):
-        arr = np.asarray(data, dtype=np.float32)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2:
-            raise DimensionError(f"expected rank-2 cycle array, got rank {arr.ndim}")
-        return arr
-    cycles = list(data)
-    if not cycles:
-        raise DimensionError("no cycles given")
-    rows = []
-    for c in cycles:
-        rows.append(c.samples if isinstance(c, CardiacCycle) else
-                    CardiacCycle(np.asarray(c)).samples)
-    return np.stack(rows).astype(np.float32)
+    """Cycles as a rank-2 float32 array [n, length]; a single 1-D cycle becomes one row."""
+    arr = np.asarray(data, dtype=np.float32)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2:
+        raise DimensionError(f"expected rank-2 cycle array, got rank {arr.ndim}")
+    return arr

@@ -34,9 +34,12 @@ def latent_traversal(model: VaeModel, base_z: np.ndarray, feature: int,
         raise DimensionError(f"base_z must have length {latent}, got {base_z.shape[0]}")
     if not 0 <= feature < latent:
         raise IndexError(f"feature index {feature} outside [0, {latent})")
-    vals = np.asarray(list(values), dtype=model.dtype)
+    vals = np.asarray(list(values), dtype=np.float64)
     if vals.size < 1:
         raise ValueError("traversal needs at least one value")
+    if not (np.abs(vals) <= np.finfo(model.dtype).max).all():
+        raise ValueError(f"traversal values must be finite in {np.dtype(model.dtype).name}")
+    vals = vals.astype(model.dtype)
     z = np.tile(base_z, (vals.size, 1))
     z[:, feature] = vals
     return decode_batch(model, z)

@@ -10,10 +10,11 @@ by swapping axes 0 and 1 (a view) around that one path, so their output is
 channel-major in memory.
 
 Max pooling is a running max over the `width` strided slices of each window;
-maxpool1d_fwd also marks the winning slice in a route of `width` boolean
-masks, each shaped and laid out like the output, so the backward pass is
-`width` strided multiplies. Pooling reads only the last axis and allocates
-like its input, so channel-major memory stays channel-major.
+maxpool1d_fwd then marks, for each window, the first slice equal to that max
+in a route of `width` boolean masks, each shaped and laid out like the
+output, so the backward pass is `width` strided multiplies. Pooling reads
+only the last axis and allocates like its input, so channel-major memory
+stays channel-major.
 
 Kernels do no validation: the calling layer code does. Convolution is
 cross-correlation (no kernel flip) with zero padding of (K - 1) // 2 on each
@@ -129,20 +130,17 @@ def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
 
 def maxpool1d_fwd(x: np.ndarray, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """maxpool1d and its route: `width` masks [N0,N1,Lout], True at each window's first maximum."""
-    n = x.shape[2] // width * width
-    y = x[:, :, 0:n:width]
-    # first mark each offset that beats every earlier one; strictly, so a tie
-    # keeps the earlier offset. The last offset so marked holds the maximum.
-    route = [np.ones_like(y, dtype=bool)]
-    for j in range(1, width):
-        s = x[:, :, j:n:width]
-        route.append(np.greater(s, y))
-        y = np.maximum(y, s)
-    for j in range(width - 1, 0, -1):
-        later = ~route[j]
-        for earlier in route[:j]:
-            earlier &= later
-    return (y if width > 1 else y.copy(order="K")), route
+    y = maxpool1d(x, width)
+    n = y.shape[2] * width
+    # a tie (including -0.0 against 0.0) goes to the earliest offset equal to y
+    taken = x[:, :, 0:n:width] == y
+    route = [taken]
+    for j in range(1, width - 1):
+        route.append((x[:, :, j:n:width] == y) & ~taken)
+        taken = taken | route[-1]
+    if width > 1:
+        route.append(~taken)
+    return y, route
 
 
 def maxpool1d_bwd(dy: np.ndarray, route: list[np.ndarray], length: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import CYCLE_LEN, CardiacCycle, EcgRecord
+from .data import CYCLE_LEN, EcgRecord
 
 DEFAULT_FS = 500.0
 
@@ -26,8 +26,8 @@ class Wave:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"wave width must be positive, got {self.width}")
+        if not (np.isfinite([self.amplitude, self.center]).all() and 0 < self.width < np.inf):
+            raise ValueError(f"wave needs finite amplitude and center, finite width > 0: {self}")
 
 
 # Textbook-flavored defaults: dominant R, small opposing Q/S, low P, broad T.
@@ -59,8 +59,8 @@ class MorphologyParams:
             )
         if not 0.0 <= self.rr_jitter < 0.5:
             raise ValueError(f"rr_jitter must be in [0, 0.5), got {self.rr_jitter}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if abs(self.r.amplitude) <= max(abs(self.q.amplitude), abs(self.s.amplitude)):
             raise ValueError("R amplitude must dominate Q and S")
 
@@ -84,15 +84,15 @@ def _add_beat(signal: np.ndarray, r_pos: float, waves, fs: float) -> None:
 
 
 def gen_cycle(params: MorphologyParams = MorphologyParams(),
-              fs: float = DEFAULT_FS) -> tuple[CardiacCycle, int]:
-    """One 400-sample R-centered beat; returns the cycle and the R index (200)."""
+              fs: float = DEFAULT_FS) -> tuple[np.ndarray, int]:
+    """One 400-sample R-centered beat; returns the float32 cycle and the R index (200)."""
     r_index = CYCLE_LEN // 2
     signal = np.zeros(CYCLE_LEN, dtype=np.float64)
     _add_beat(signal, float(r_index), params.waves, fs)
     if params.noise_std > 0:
         rng = np.random.default_rng(params.seed)
         signal += params.noise_std * rng.standard_normal(CYCLE_LEN)
-    return CardiacCycle(signal.astype(np.float32)), r_index
+    return signal.astype(np.float32), r_index
 
 
 def _beat_positions(params: MorphologyParams, n_samples: int,
@@ -121,8 +121,8 @@ def _render_lead(params: MorphologyParams, positions: np.ndarray, n_samples: int
 def gen_record(params: MorphologyParams = MorphologyParams(), duration_s: float = 10.0,
                fs: float = DEFAULT_FS, record_id: str = "") -> tuple[EcgRecord, np.ndarray]:
     """A single-lead strip of `duration_s` seconds plus its true R positions."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     n = int(round(duration_s * fs))
     rng = np.random.default_rng(params.seed)
     positions = _beat_positions(params, n, fs, rng)
@@ -152,8 +152,8 @@ class ParamRanges:
         for name in ("heart_rate_bpm", "amp_scale", "p_center", "t_center",
                      "width_scale", "rr_jitter", "noise_std"):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"range {name} has lo > hi: ({lo}, {hi})")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ValueError(f"range {name} needs finite lo <= hi, got ({lo}, {hi})")
 
 
 def sample_params(rng: np.random.Generator, ranges: ParamRanges = ParamRanges(),
@@ -193,6 +193,8 @@ def gen_corpus(n_records: int, seed: int, ranges: ParamRanges = ParamRanges(),
     """
     if n_records < 1:
         raise ValueError(f"n_records must be >= 1, got {n_records}")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     master = np.random.default_rng(seed)
     out = []
     for i in range(n_records):

@@ -41,10 +41,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics)")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.beta_kl < 0:
-            raise ValueError("beta_kl must be non-negative")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.beta_kl < np.inf:
+            raise ValueError(f"beta_kl must be non-negative and finite, got {self.beta_kl}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must be in (0, 1)")
 
@@ -133,7 +133,10 @@ def train(
             recon_sum += recon.item() * idx.size
             kl_sum += kl.item() * idx.size
             n_seen += idx.size
-        eval_recon, eval_kl = _eval_pass(model, eval_cycles, config.batch_size)
+        try:
+            eval_recon, eval_kl = _eval_pass(model, eval_cycles, config.batch_size)
+        except NumericsError as e:
+            raise NumericsError(f"training diverged at epoch {epoch} eval pass: {e}") from e
         stats = EpochStats(
             epoch=epoch,
             train_recon=recon_sum / n_seen,

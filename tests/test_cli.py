@@ -252,6 +252,47 @@ class TestTraverse:
                      "--out", str(tmp_path / "t")]) == 1
 
 
+def assert_one_line_usage_error(argv, capsys):
+    """main(argv) exits 1 with one 'error: usage:' line and no RuntimeWarning."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and err.count("\n") == 1, err
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "inf"],
+        ["--duration", "nan"],
+        ["--noise-lo", "nan", "--noise-hi", "nan"],
+        ["--noise-lo", "0", "--noise-hi", "inf"],
+    ])
+    def test_synth(self, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        assert_one_line_usage_error(["synth", "--records", "1", "--seed", "1",
+                                     "--out", str(out)] + flags, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"],
+                                       ["--beta", "nan"], ["--beta", "inf"]])
+    def test_train(self, pipeline, tmp_path, capsys, flags):
+        _, _, dataset, _ = pipeline
+        out = tmp_path / "m.ecgv"
+        assert_one_line_usage_error(["train", "--data", str(dataset), "--out", str(out),
+                                     "--seed", "1", "--epochs", "1", "--quiet"] + flags,
+                                    capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--min", "nan"], ["--max", "1e300"]])
+    def test_traverse(self, pipeline, tmp_path, capsys, flags):
+        _, _, _, model = pipeline
+        assert_one_line_usage_error(["traverse", "--model", str(model), "--feature", "0",
+                                     "--steps", "3", "--seed", "0",
+                                     "--out", str(tmp_path / "t")] + flags, capsys)
+
+
 class TestMmd:
     def test_self_comparison_is_zero(self, pipeline, tmp_path, capsys):
         _, _, dataset, _ = pipeline

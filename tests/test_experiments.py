@@ -73,6 +73,12 @@ class TestLatentTraversal:
         with pytest.raises(ValueError):
             latent_traversal(model, np.zeros(4), feature=0, values=[])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -3.5e38])
+    def test_values_not_finite_in_model_dtype_rejected(self, model, value):
+        # 1e300 and -3.5e38 are finite float64 but overflow float32 in the cast
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite in float32"):
+            latent_traversal(model, np.zeros(4), feature=0, values=[0.0, value])
+
     def test_effect_is_l2(self):
         lo = np.zeros(8)
         hi = np.full(8, 0.5)

@@ -165,6 +165,28 @@ class TestPoolOracle:
         np.testing.assert_array_equal(kernels.maxpool1d(xc, width), y)
         np.testing.assert_array_equal(kernels.maxpool1d_bwd(dyc, route_c, length), dx_ref)
 
+    @pytest.mark.parametrize("memory", ["C", "channel-major"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_signed_zero_and_all_equal_windows(self, width, memory, rng):
+        # the first 8 windows hold only -1, -0.0 and 0.0, so most tie at a zero of
+        # either sign; the last 8 repeat one value (some of them -0.0) width times
+        mixed = rng.choice(np.array([-1.0, -0.0, 0.0]), (3, 4, 8 * width))
+        level = rng.choice(np.array([-0.0, 0.0, 1.5, -2.0]), (3, 4, 8))
+        x = np.concatenate([mixed, np.repeat(level, width, axis=2)], axis=2)
+        x = x.astype(np.float32)
+        dy = rng.uniform(1.0, 2.0, (3, 4, 16)).astype(np.float32)
+        if memory == "channel-major":
+            x, dy = channel_major(x), channel_major(dy)
+        y, route = kernels.maxpool1d_fwd(x, width)
+        y_ref, first = naive_pool(x, width)
+        np.testing.assert_array_equal(y, y_ref)
+        pooled = kernels.maxpool1d(x, width)
+        np.testing.assert_array_equal(np.signbit(y), np.signbit(pooled))
+        np.testing.assert_array_equal(y, pooled)
+        dx_ref = np.zeros_like(x)
+        np.put_along_axis(dx_ref, first, dy, axis=2)
+        np.testing.assert_array_equal(kernels.maxpool1d_bwd(dy, route, x.shape[2]), dx_ref)
+
 
 class TestMaxPool:
     def test_hand_example(self):

@@ -21,47 +21,54 @@ class TestGenCycle:
     def test_r_peak_at_center(self):
         cycle, r_index = gen_cycle(MorphologyParams())
         assert r_index == 200
-        assert int(np.argmax(cycle.samples)) == 200
+        assert cycle.dtype == np.float32 and cycle.shape == (400,)
+        assert int(np.argmax(cycle)) == 200
         # Q and S tails subtract a few thousandths at the apex
-        assert np.isclose(cycle.samples[200], DEFAULT_R.amplitude, atol=5e-3)
+        assert np.isclose(cycle[200], DEFAULT_R.amplitude, atol=5e-3)
 
     def test_p_wave_placement(self):
         # P center -0.160 s at 500 Hz puts the bump 80 samples before R
         cycle, _ = gen_cycle(MorphologyParams())
-        window = cycle.samples[100:160]
+        window = cycle[100:160]
         assert int(np.argmax(window)) + 100 == 200 + round(DEFAULT_P.center * 500)
         assert np.isclose(window.max(), DEFAULT_P.amplitude, atol=0.01)
 
     def test_t_wave_placement(self):
         cycle, _ = gen_cycle(MorphologyParams())
-        window = cycle.samples[280:399]
+        window = cycle[280:399]
         assert int(np.argmax(window)) + 280 == 200 + round(DEFAULT_T.center * 500)
 
     def test_edges_near_baseline(self):
         # left edge precedes the P bump's support; the right edge still rides
         # the tail of the broad T, so it is small but not exactly zero
         cycle, _ = gen_cycle(MorphologyParams())
-        assert abs(cycle.samples[0]) < 1e-6
-        assert abs(cycle.samples[-1]) < 0.05 * DEFAULT_R.amplitude
+        assert abs(cycle[0]) < 1e-6
+        assert abs(cycle[-1]) < 0.05 * DEFAULT_R.amplitude
 
     def test_noise_free_cycle_is_deterministic(self):
         a, _ = gen_cycle(MorphologyParams(seed=1))
         b, _ = gen_cycle(MorphologyParams(seed=2))
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_noisy_cycle_seeded(self):
         p = MorphologyParams(noise_std=0.01, seed=5)
         a, _ = gen_cycle(p)
         b, _ = gen_cycle(p)
         c, _ = gen_cycle(MorphologyParams(noise_std=0.01, seed=6))
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestWaveValidation:
     def test_nonpositive_width(self):
         with pytest.raises(ValueError):
             Wave(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("fields", [(float("nan"), -0.16, 0.02), (0.3, float("inf"), 0.05),
+                                        (-0.15, 0.024, float("inf")), (1.0, 0.0, float("nan"))])
+    def test_non_finite_wave_rejected(self, fields):
+        with pytest.raises(ValueError, match="wave needs finite"):
+            Wave(*fields)
 
     def test_r_must_dominate(self):
         with pytest.raises(ValueError):
@@ -73,6 +80,10 @@ class TestWaveValidation:
         dict(rr_jitter=0.5),
         dict(rr_jitter=-0.1),
         dict(noise_std=-1e-3),
+        dict(noise_std=float("inf")),
+        dict(noise_std=float("nan")),
+        dict(heart_rate_bpm=float("nan")),
+        dict(rr_jitter=float("nan")),
     ])
     def test_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -155,6 +166,13 @@ class TestCorpus:
         with pytest.raises(ValueError):
             gen_corpus(0, seed=0)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            gen_corpus(1, seed=0, duration_s=duration)
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            gen_record(MorphologyParams(), duration_s=duration)
+
 
 class TestSampleParams:
     def test_draws_within_ranges(self):
@@ -172,3 +190,9 @@ class TestSampleParams:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             ParamRanges(heart_rate_bpm=(90.0, 50.0))
+
+    @pytest.mark.parametrize("pair", [(0.0, float("inf")), (float("nan"), float("nan")),
+                                      (float("-inf"), 0.01)])
+    def test_non_finite_range_rejected(self, pair):
+        with pytest.raises(ValueError, match=r"range noise_std needs finite lo <= hi"):
+            ParamRanges(noise_std=pair)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ecgvae.errors import DimensionError
+from ecgvae import training
+from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.model import ModelConfig
 from ecgvae.training import TrainConfig, mean_cycle_baseline, train
 
@@ -108,12 +109,26 @@ class TestValidation:
         dict(lr=0.0),
         dict(lr=-1e-3),
         dict(beta_kl=-0.1),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(beta_kl=float("nan")),
+        dict(beta_kl=float("inf")),
         dict(eval_fraction=0.0),
         dict(eval_fraction=1.0),
     ])
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(seed=0, **kwargs)
+
+
+    def test_eval_pass_error_names_the_epoch(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            raise NumericsError("non-finite values produced by op 'conv1d'")
+
+        monkeypatch.setattr(training, "encode_batch", poisoned)
+        with pytest.raises(NumericsError,
+                           match=r"^training diverged at epoch 0 eval pass: .*'conv1d'"):
+            train(bump_dataset(16), TrainConfig(seed=0, epochs=1, batch_size=8), COMPACT)
 
 
 class TestMeanCycleBaseline:
