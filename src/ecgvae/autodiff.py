@@ -11,8 +11,9 @@ Gradient accumulation is additive on purpose: a tensor consumed by two ops
 receives the sum of both contributions.
 
 The op set is exactly what the encoder/decoder stack and its losses need,
-nothing more: reductions are over the full tensor, and a Tensor's only
-operators are +, - and * with the Tensor on the left.
+nothing more: reductions are over the full tensor, concat joins along axis 1,
+conv1d always takes a bias, and a Tensor's only operators are +, - and *
+with the Tensor on the left.
 Layers that would take many primitive nodes are single ops with a closed-form
 backward: batch_norm (with an optional fused ReLU) is one node, and conv1d
 keeps its im2col columns from the forward pass for the backward pass.
@@ -319,7 +320,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(out_data, (x,), bwd, "reshape", check=False)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along axis 1 (features of [B,F], channels of [B,C,L])."""
     if not parts:
         raise DimensionError("concat needs at least one tensor")
     ref = parts[0]
@@ -328,18 +330,15 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
         if len(p.data.shape) != len(ref.data.shape):
             raise DimensionError("concat: rank mismatch")
     try:
-        out_data = np.concatenate([p.data for p in parts], axis=axis)
+        out_data = np.concatenate([p.data for p in parts], axis=1)
     except ValueError as e:
         raise DimensionError(f"concat: incompatible shapes {[p.data.shape for p in parts]}") from e
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def bwd(g: np.ndarray) -> None:
-        sl = [slice(None)] * g.ndim
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             if p.requires_grad:
-                sl[axis] = slice(int(lo), int(hi))
-                p._accumulate(g[tuple(sl)])
+                p._accumulate(g[:, lo:hi])
 
     return _node(out_data, tuple(parts), bwd, "concat")
 
@@ -368,8 +367,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x.data @ w.data.T + b.data, (x, w, b), bwd, "dense")
 
 
-def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
-    """Zero-padded 1-d cross-correlation over [B,C,L] with optional bias.
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """Zero-padded 1-d cross-correlation over [B,C,L] plus a per-channel bias b [Co].
 
     The output is a [B,C,L] view of channel-major [C,B,L] memory.
     """
@@ -388,8 +387,7 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) ->
     xd = x.data.swapaxes(0, 1)
     cols = kernels.im2col(xd, w.data.shape[2], stride)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
-        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], None if b is None else b.data)
-    parents = (x, w) if b is None else (x, w, b)
+        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], b.data)
 
     def bwd(g: np.ndarray) -> None:
         dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g.swapaxes(0, 1), xd.shape[2], stride,
@@ -398,10 +396,10 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) ->
             x._accumulate(dx.swapaxes(0, 1))
         if w.requires_grad:
             w._accumulate(dw)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(_channel_sum(g).astype(g.dtype))
 
-    return _node(y.swapaxes(0, 1), parents, bwd, "conv1d")
+    return _node(y.swapaxes(0, 1), (x, w, b), bwd, "conv1d")
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:

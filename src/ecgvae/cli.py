@@ -39,7 +39,7 @@ from .errors import DimensionError, FormatError, NumericsError, StateError  # no
 from .experiments import sample_synthetic, traversal_sweep  # noqa: E402
 from .metrics import check_sigma, compare_sets  # noqa: E402
 from .model import encode_batch  # noqa: E402
-from .synth import DEFAULT_FS, gen_corpus  # noqa: E402
+from .synth import DEFAULT_FS, ParamRanges, gen_corpus  # noqa: E402
 from .training import DEFAULT_BETA_KL, TrainConfig, train  # noqa: E402
 
 
@@ -127,7 +127,8 @@ def _build_parser() -> _Parser:
                     help="sweep end (default %(default)s)")
     sp.add_argument("--steps", type=int, default=10,
                     help=f"sweep points, at most {MAX_TRAVERSE_STEPS} (default %(default)s)")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=int, required=True,
+                    help="does not change the plots: every sweep starts from the zero code")
     sp.add_argument("--out", type=Path, required=True, help="output directory")
 
     sp = new("mmd", "compare two cycle datasets with kernel MMD^2")
@@ -216,19 +217,14 @@ def _cmd_synth(args) -> int:
     if not 1 <= leads <= MAX_LEADS:
         raise UsageError(f"--leads must be in [1, {MAX_LEADS}], got {leads}")
     noise_lo, noise_hi = args.noise_lo, args.noise_hi
-    from .synth import ParamRanges
-    ranges = ParamRanges()
     if (noise_lo is None) != (noise_hi is None):
         raise UsageError("--noise-lo and --noise-hi must be given together")
-    if noise_lo is not None:
-        if not 0 <= noise_lo <= noise_hi < np.inf:
-            raise UsageError(f"need 0 <= noise-lo <= noise-hi < inf, got {noise_lo}, {noise_hi}")
-        from dataclasses import replace
-        ranges = replace(ranges, noise_std=(noise_lo, noise_hi))
-    out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # ParamRanges checks the noise range
+    ranges = ParamRanges() if noise_lo is None else ParamRanges(noise_std=(noise_lo, noise_hi))
     corpus = gen_corpus(n_records, seed=args.seed, ranges=ranges,
                         duration_s=duration, n_leads=leads)
+    out_dir: Path = args.out
+    out_dir.mkdir(parents=True, exist_ok=True)
     truth = []
     n_beats = 0
     for record, positions in corpus:

@@ -1,4 +1,4 @@
-"""Core data types: records, peak lists, labeled sample sets.
+"""Core data types: records, peak lists, sample sets.
 
 A cardiac cycle is a fixed 400-sample float32 window centered on an R peak,
 held as one row of a [n, 400] float32 array; there is no per-cycle type.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,11 +67,9 @@ class EcgRecord:
 
 @dataclass
 class RPeakList:
-    """Detector output: strictly increasing sample indices plus provenance."""
+    """Detector output: strictly increasing sample indices."""
 
     indices: np.ndarray
-    detector_name: str = ""
-    warning: Optional[str] = None
 
     def __post_init__(self):
         arr = np.asarray(self.indices, dtype=np.int64).reshape(-1)
@@ -88,10 +85,9 @@ class RPeakList:
 
 @dataclass
 class SampleSet:
-    """A labeled batch of cycles as one [n, CYCLE_LEN] float32 array."""
+    """A batch of cycles as one [n, CYCLE_LEN] float32 array."""
 
     cycles: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.cycles, dtype=np.float32)

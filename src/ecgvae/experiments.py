@@ -15,14 +15,13 @@ from .persistence import emit_plot
 TRAVERSAL_GRID = tuple(np.linspace(-3.0, 3.0, 10))
 
 
-def sample_synthetic(model: VaeModel, n: int, seed: int, batch: int = 256,
-                     label: str = "generated") -> SampleSet:
+def sample_synthetic(model: VaeModel, n: int, seed: int) -> SampleSet:
     """Decode n prior draws z ~ N(0, I) into cycles, deterministically per seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim)).astype(model.dtype)
-    return SampleSet(decode_batch(model, z, batch=batch), label=label)
+    return SampleSet(decode_batch(model, z))
 
 
 def latent_traversal(model: VaeModel, base_z: np.ndarray, feature: int,

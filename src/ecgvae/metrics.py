@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericsError
 
+MEDIAN_POINTS = 2000  # pooled rows above which median_heuristic subsamples
+
 
 def _as_matrix(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -59,11 +61,11 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def median_heuristic(a, b, max_points: int = 2000, seed: int = 0) -> float:
+def median_heuristic(a, b, seed: int = 0) -> float:
     """Median pairwise distance over the pooled samples.
 
-    Exact when the pool has at most `max_points` rows; above that a seeded
-    uniform subsample of `max_points` rows is used. A degenerate pool (all
+    Exact when the pool has at most MEDIAN_POINTS rows; above that a seeded
+    uniform subsample of MEDIAN_POINTS rows is used. A degenerate pool (all
     rows identical) falls back to sigma = 1.0.
     """
     a = _as_matrix(a, "a")
@@ -71,9 +73,9 @@ def median_heuristic(a, b, max_points: int = 2000, seed: int = 0) -> float:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"feature dims differ: {a.shape[1]} vs {b.shape[1]}")
     pool = np.concatenate([a, b], axis=0)
-    if pool.shape[0] > max_points:
+    if pool.shape[0] > MEDIAN_POINTS:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(pool.shape[0], size=max_points, replace=False)
+        pick = rng.choice(pool.shape[0], size=MEDIAN_POINTS, replace=False)
         pool = pool[np.sort(pick)]
     if pool.shape[0] < 2:
         return 1.0

@@ -227,7 +227,7 @@ class VaeModel:
         """Map cycles [B, 400] to posterior (mu, logvar), each [B, 25]; no tape in eval."""
         t = self._as_batch(x, self.config.input_len, "cycles")
         with ad.recording(train):
-            h = ad.concat(self._branches(t, self.enc_conv, self.enc_dense, train), axis=1)
+            h = ad.concat(self._branches(t, self.enc_conv, self.enc_dense, train))
             return self.mu_head(h), self.logvar_head(h)
 
     def decode(self, z, train: bool = False) -> Tensor:
@@ -235,7 +235,7 @@ class VaeModel:
         t = self._as_batch(z, self.config.latent_dim, "latent codes")
         with ad.recording(train):
             conv, densev = self._branches(t, self.dec_conv, self.dec_dense, train)
-            return self.out_head(ad.concat([densev, conv], axis=1))
+            return self.out_head(ad.concat([densev, conv]))
 
     # -- parameter access ----------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Adam optimizer with bias correction.
 
+beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 (Kingma & Ba's defaults) are class
+constants; only the learning rate is a parameter.
+
 Moment buffers are zero-initialized, so given identical parameters and
 gradients the update sequence is fully deterministic. step() refuses to run
 when any parameter is missing its gradient (a forward/backward pass must
@@ -15,21 +18,17 @@ from .layers import Parameter
 
 
 class Adam:
-    def __init__(self, params: list[tuple[str, Parameter]], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[tuple[str, Parameter]], lr: float = 1e-3):
         if lr <= 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
         if not params:
             raise ValueError("Adam needs at least one parameter")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}

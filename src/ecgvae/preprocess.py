@@ -1,5 +1,8 @@
 """Record preprocessing: segmentation, R-peak detection, cycle extraction.
 
+The pipeline has one configuration: records are cut into SEGMENT_S (9 s)
+segments, and every extracted cycle has its baseline removed.
+
 The detector follows the classic energy-based recipe: zero-phase band-pass
 around the QRS band (5-15 Hz), squared derivative, moving-window integration,
 then peak picking against half of a rolling maximum. Detections are refined
@@ -29,11 +32,9 @@ SEGMENT_S = 9.0
 _STACK_SAMPLES = 2 ** 18  # samples per detection stack: ~58 rows of 9 s at 500 Hz
 
 
-def cut_segments(record: EcgRecord, seconds: float = SEGMENT_S) -> list[EcgRecord]:
-    """Split a record into non-overlapping fixed-length segments; drop the tail."""
-    if seconds <= 0:
-        raise ValueError(f"segment length must be positive, got {seconds}")
-    seg_len = int(round(seconds * record.sampling_rate_hz))
+def cut_segments(record: EcgRecord) -> list[EcgRecord]:
+    """Split a record into non-overlapping SEGMENT_S segments; drop the tail."""
+    seg_len = int(round(SEGMENT_S * record.sampling_rate_hz))
     if seg_len < 1:
         raise ValueError("segment shorter than one sample")
     k = record.n_samples // seg_len
@@ -97,24 +98,22 @@ def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
             else:
                 kept.append(p)
 
-        indices = np.asarray(kept, dtype=np.int64)
-        warning = None if indices.size else "no QRS-like activity above threshold"
-        out.append(RPeakList(indices=indices, detector_name="bandpass-mwi", warning=warning))
+        out.append(RPeakList(np.asarray(kept, dtype=np.int64)))
     return out
 
 
 def detect_r_peaks(lead: np.ndarray, fs: float) -> RPeakList:
-    """Locate R peaks in one lead; an empty result carries a warning, not an error."""
+    """Locate R peaks in one lead; a lead without QRS activity gives an empty list."""
     return _detect_rows(np.asarray(lead, dtype=np.float64).reshape(1, -1), fs)[0]
 
 
-def extract_cycles(lead: np.ndarray, peaks, half_width: int = CYCLE_LEN // 2,
-                   remove_baseline: bool = True) -> tuple[np.ndarray, int]:
+def extract_cycles(lead: np.ndarray, peaks,
+                   half_width: int = CYCLE_LEN // 2) -> tuple[np.ndarray, int]:
     """Cut [r - half_width, r + half_width) windows around each peak.
 
     Peaks whose window would cross a record boundary are skipped and counted.
-    Baseline removal subtracts the mean of the first and last 10 samples of
-    each window. Returns (windows [n, 2 * half_width] float32, n_skipped).
+    Each window's baseline, the mean of its first and last 10 samples, is
+    subtracted. Returns (windows [n, 2 * half_width] float32, n_skipped).
     """
     lead = np.asarray(lead, dtype=np.float32).reshape(-1)
     if half_width < 1:
@@ -125,15 +124,13 @@ def extract_cycles(lead: np.ndarray, peaks, half_width: int = CYCLE_LEN // 2,
     if not inside.any():
         return np.empty((0, 2 * half_width), dtype=np.float32), skipped
     rows = lead[idx[inside, None] + np.arange(-half_width, half_width)]
-    if remove_baseline:
-        edges = np.concatenate((rows[:, :10], rows[:, -10:]), axis=1)
-        rows -= edges.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    edges = np.concatenate((rows[:, :10], rows[:, -10:]), axis=1)
+    rows -= edges.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
     return rows, skipped
 
 
 def preprocess_records(
-    records, seconds: float = SEGMENT_S, half_width: int = CYCLE_LEN // 2,
-    remove_baseline: bool = True,
+    records, half_width: int = CYCLE_LEN // 2,
 ) -> tuple[np.ndarray, list[tuple[str, int]], dict]:
     """records -> segments -> peaks -> cycles, with per-cycle provenance.
 
@@ -146,7 +143,7 @@ def preprocess_records(
     stacks: dict[tuple[float, int], list[int]] = {}  # (rate, length) -> row numbers
     for rec in records:
         stats["records"] += 1
-        for seg in cut_segments(rec, seconds):
+        for seg in cut_segments(rec):
             stats["segments"] += 1
             for lead_id, lead in enumerate(seg.leads):
                 stacks.setdefault((seg.sampling_rate_hz, seg.n_samples), []).append(len(rows))
@@ -164,10 +161,9 @@ def preprocess_records(
     meta: list[tuple[str, int]] = []
     for i, (seg_id, lead_id, lead) in enumerate(rows):
         found = peaks[i]
-        if found.warning is not None:
-            stats["empty_segments"] += 1
+        stats["empty_segments"] += len(found) == 0
         stats["peaks"] += len(found)
-        cut, skipped = extract_cycles(lead, found, half_width, remove_baseline)
+        cut, skipped = extract_cycles(lead, found, half_width)
         stats["skipped_windows"] += skipped
         if cut.shape[0]:
             all_rows.append(cut)

@@ -15,6 +15,8 @@ import numpy as np
 from .data import CYCLE_LEN, EcgRecord
 
 DEFAULT_FS = 500.0
+MAX_NOISE_STD = 1e3  # mV; float32 holds the noise with room to spare
+MAX_RECORD_SAMPLES = 2 ** 24  # samples x leads: 64 MB as float32, 9.3 h of one lead at 500 Hz
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class MorphologyParams:
             )
         if not 0.0 <= self.rr_jitter < 0.5:
             raise ValueError(f"rr_jitter must be in [0, 0.5), got {self.rr_jitter}")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
+        if not 0 <= self.noise_std <= MAX_NOISE_STD:
+            raise ValueError(f"noise_std must be in [0, {MAX_NOISE_STD:g}] mV, "
+                             f"got {self.noise_std}")
         if abs(self.r.amplitude) <= max(abs(self.q.amplitude), abs(self.s.amplitude)):
             raise ValueError("R amplitude must dominate Q and S")
 
@@ -118,12 +121,20 @@ def _render_lead(params: MorphologyParams, positions: np.ndarray, n_samples: int
     return signal.astype(np.float32)
 
 
-def gen_record(params: MorphologyParams = MorphologyParams(), duration_s: float = 10.0,
-               fs: float = DEFAULT_FS, record_id: str = "") -> tuple[EcgRecord, np.ndarray]:
-    """A single-lead strip of `duration_s` seconds plus its true R positions."""
+def _record_samples(duration_s: float, fs: float, n_leads: int) -> int:
+    """Samples per lead of a record; ValueError unless it fits MAX_RECORD_SAMPLES in all."""
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
     n = int(round(duration_s * fs))
+    if n * n_leads > MAX_RECORD_SAMPLES:  # checked before any beat is placed
+        raise ValueError(f"{n} samples x {n_leads} lead(s) exceeds the record sample cap")
+    return n
+
+
+def gen_record(params: MorphologyParams = MorphologyParams(), duration_s: float = 10.0,
+               fs: float = DEFAULT_FS, record_id: str = "") -> tuple[EcgRecord, np.ndarray]:
+    """A single-lead strip of `duration_s` seconds plus its true R positions."""
+    n = _record_samples(duration_s, fs, 1)
     rng = np.random.default_rng(params.seed)
     positions = _beat_positions(params, n, fs, rng)
     lead = _render_lead(params, positions, n, fs, rng)
@@ -154,6 +165,10 @@ class ParamRanges:
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"range {name} needs finite lo <= hi, got ({lo}, {hi})")
+        lo, hi = self.noise_std
+        if lo < 0 or hi > MAX_NOISE_STD:
+            raise ValueError(f"range noise_std must lie in [0, {MAX_NOISE_STD:g}] mV, "
+                             f"got ({lo}, {hi})")
 
 
 def sample_params(rng: np.random.Generator, ranges: ParamRanges = ParamRanges(),
@@ -193,15 +208,13 @@ def gen_corpus(n_records: int, seed: int, ranges: ParamRanges = ParamRanges(),
     """
     if n_records < 1:
         raise ValueError(f"n_records must be >= 1, got {n_records}")
-    if not 0 < duration_s < np.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    n = _record_samples(duration_s, fs, n_leads)
     master = np.random.default_rng(seed)
     out = []
     for i in range(n_records):
         rec_seed = int(master.integers(0, 2**63 - 1))
         params = sample_params(master, ranges, seed=rec_seed)
         rng = np.random.default_rng(rec_seed)
-        n = int(round(duration_s * fs))
         positions = _beat_positions(params, n, fs, rng)
         leads = [_render_lead(params, positions, n, fs, rng)]
         for _ in range(1, n_leads):

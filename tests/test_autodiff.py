@@ -117,7 +117,7 @@ class TestOpGradients:
         b = leaf(rng, (3, 2))
 
         def loss():
-            joined = ad.concat([a, b], axis=1)
+            joined = ad.concat([a, b])
             return ad.reduce_sum(ad.square(ad.reshape(joined, (2, 9))))
 
         assert max_grad_rel_err(loss, [a, b]) < TOL
@@ -234,13 +234,13 @@ class TestShapeErrors:
         x = Tensor(rng.standard_normal((1, 3, 8)))
         w = Tensor(rng.standard_normal((2, 4, 3)))
         with pytest.raises(DimensionError):
-            ad.conv1d(x, w)
+            ad.conv1d(x, w, Tensor(np.zeros(2)))
 
     def test_conv_even_kernel_rejected(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 8)))
         w = Tensor(rng.standard_normal((1, 1, 4)))
         with pytest.raises(ValueError):
-            ad.conv1d(x, w)
+            ad.conv1d(x, w, Tensor(np.zeros(1)))
 
     def test_pool_wider_than_input(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4)))
@@ -263,4 +263,4 @@ class TestShapeErrors:
         a = Tensor(rng.standard_normal((2, 3)))
         b = Tensor(rng.standard_normal((2, 3, 1)))
         with pytest.raises(DimensionError):
-            ad.concat([a, b], axis=0)
+            ad.concat([a, b])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ecgvae.cli
+import ecgvae.synth
 from ecgvae.cli import _build_parser, _config_keys, _parse, _subparsers, main
 from ecgvae.data import EcgRecord
 from ecgvae.persistence import load_dataset, save_dataset, save_record
@@ -251,6 +252,16 @@ class TestTraverse:
                      "--min", "2", "--max", "-2", "--seed", "0",
                      "--out", str(tmp_path / "t")]) == 1
 
+    def test_seed_does_not_change_the_plots(self, pipeline, tmp_path):
+        _, _, _, model = pipeline
+        svgs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"seed_{seed}"
+            assert main(["traverse", "--model", str(model), "--feature", "2",
+                         "--steps", "3", "--seed", seed, "--out", str(out)]) == 0
+            svgs.append((out / "traversal_feature_02.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+
 
 def assert_one_line_usage_error(argv, capsys):
     """main(argv) exits 1 with one 'error: usage:' line and no RuntimeWarning."""
@@ -268,6 +279,7 @@ class TestNonFiniteFlags:
         ["--duration", "nan"],
         ["--noise-lo", "nan", "--noise-hi", "nan"],
         ["--noise-lo", "0", "--noise-hi", "inf"],
+        ["--noise-lo", "0", "--noise-hi", "1e300"],  # finite, but past float32
     ])
     def test_synth(self, tmp_path, capsys, flags):
         out = tmp_path / "r"
@@ -381,6 +393,25 @@ class TestHostileSizes:
         assert not (tmp_path / "d.ecgc").exists()
         # no window fits, so no gather index is built: 2e12 offsets would be 16 TB
         assert peak < 5e6, f"preprocess peak {peak / 1e6:.1f} MB"
+
+    def test_duration_past_the_sample_cap_is_refused_without_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached _beat_positions")
+
+        # 1e8 s at 500 Hz is 5e10 samples; beat placement would list ~1e8 beats
+        monkeypatch.setattr(ecgvae.synth, "_beat_positions", unreachable)
+        out = tmp_path / "r"
+        argv = ["synth", "--records", "1", "--duration", "1e8", "--seed", "1",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert_one_line_usage_error(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not out.exists()
+        assert peak < 5e6, f"synth peak {peak / 1e6:.1f} MB"
 
     def test_checkpoint_tensor_of_zero_size_and_huge_shape_is_exit_2(self, pipeline, tmp_path,
                                                                      capsys):

@@ -11,7 +11,7 @@ from ecgvae.experiments import (
     traversal_effect,
     traversal_sweep,
 )
-from ecgvae.model import ModelConfig, VaeModel
+from ecgvae.model import ModelConfig, VaeModel, decode_batch
 
 COMPACT = ModelConfig(
     input_len=64, latent_dim=4,
@@ -26,16 +26,18 @@ def model():
 
 
 class TestSampleSynthetic:
-    def test_count_shape_label(self, model):
-        out = sample_synthetic(model, 17, seed=0, label="gen")
+    def test_count_and_shape(self, model):
+        out = sample_synthetic(model, 17, seed=0)
         assert out.cycles.shape == (17, 64)
-        assert out.label == "gen"
         assert np.isfinite(out.cycles).all()
 
     def test_seeded_and_batch_invariant(self, model):
-        a = sample_synthetic(model, 10, seed=42, batch=3)
-        b = sample_synthetic(model, 10, seed=42, batch=10)
-        np.testing.assert_allclose(a.cycles, b.cycles, rtol=1e-4, atol=5e-6)
+        a = sample_synthetic(model, 10, seed=42)
+        # the same prior draws decoded 3 at a time
+        z = np.random.default_rng(42).standard_normal((10, 4)).astype(np.float32)
+        np.testing.assert_allclose(a.cycles, decode_batch(model, z, batch=3),
+                                   rtol=1e-4, atol=5e-6)
+        np.testing.assert_array_equal(a.cycles, sample_synthetic(model, 10, seed=42).cycles)
         c = sample_synthetic(model, 10, seed=43)
         assert not np.array_equal(a.cycles, c.cycles)
 

@@ -5,6 +5,7 @@ import pytest
 
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.metrics import (
+    MEDIAN_POINTS,
     compare_sets,
     median_heuristic,
     mmd2_biased,
@@ -72,15 +73,22 @@ class TestMedianHeuristic:
         assert median_heuristic(a, a) == 1.0
 
     def test_subsample_is_seeded(self, rng):
-        a = rng.standard_normal((1500, 4))
-        b = rng.standard_normal((1500, 4))
-        s1 = median_heuristic(a, b, max_points=500, seed=3)
-        s2 = median_heuristic(a, b, max_points=500, seed=3)
-        s3 = median_heuristic(a, b, max_points=500, seed=4)
+        # a pool of 2200 rows is above MEDIAN_POINTS, so a seeded subsample is read
+        a = rng.standard_normal((1200, 4))
+        b = rng.standard_normal((1000, 4))
+        assert a.shape[0] + b.shape[0] > MEDIAN_POINTS
+        s1 = median_heuristic(a, b, seed=3)
+        s2 = median_heuristic(a, b, seed=3)
+        s3 = median_heuristic(a, b, seed=4)
         assert s1 == s2
         assert s1 != s3
-        # any subsample should still land near the full-pool median
-        assert np.isclose(s1, median_heuristic(a, b, max_points=5000), rtol=0.1)
+        # exact median over all 2200 * 2199 / 2 pairs, one row against the rest at a time
+        pool = np.concatenate([a, b])
+        dists = np.concatenate([np.linalg.norm(pool[i + 1:] - pool[i], axis=1)
+                                for i in range(len(pool) - 1)])
+        exact = float(np.median(dists))
+        assert s1 != exact
+        assert np.isclose(s1, exact, rtol=0.02)
 
     @pytest.mark.parametrize("m,n", [(7, 5), (6, 5)])  # 66 pairs (even), 55 (odd)
     def test_matches_bruteforce_pair_loop(self, rng, m, n):

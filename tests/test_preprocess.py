@@ -7,7 +7,6 @@ from ecgvae import preprocess
 from ecgvae.data import EcgRecord, RPeakList
 from ecgvae.errors import DimensionError
 from ecgvae.preprocess import (
-    SEGMENT_S,
     cut_segments,
     detect_r_peaks,
     extract_cycles,
@@ -29,29 +28,28 @@ def match_counts(found: np.ndarray, truth: np.ndarray, tol: int = 10):
     return tp, truth.size - tp, int((~used).sum())
 
 
-def per_lead_oracle(records, seconds=SEGMENT_S, half_width=200, remove_baseline=True):
+def per_lead_oracle(records, half_width=200):
     """preprocess_records as one detect_r_peaks / extract_cycles call per (segment, lead)."""
     rows, meta = [], []
     stats = {"records": 0, "segments": 0, "peaks": 0, "skipped_windows": 0,
              "empty_segments": 0}
     for rec in records:
         stats["records"] += 1
-        for seg in cut_segments(rec, seconds):
+        for seg in cut_segments(rec):
             stats["segments"] += 1
             for lead_id in range(seg.n_leads):
                 peaks = detect_r_peaks(seg.leads[lead_id], seg.sampling_rate_hz)
-                stats["empty_segments"] += peaks.warning is not None
+                stats["empty_segments"] += len(peaks) == 0
                 stats["peaks"] += len(peaks)
-                cut, skipped = extract_cycles(seg.leads[lead_id], peaks, half_width,
-                                              remove_baseline)
+                cut, skipped = extract_cycles(seg.leads[lead_id], peaks, half_width)
                 stats["skipped_windows"] += skipped
                 rows.append(cut)
                 meta.extend([(seg.record_id, lead_id)] * cut.shape[0])
     return np.concatenate(rows), meta, stats
 
 
-def loop_extract(lead, indices, half_width, remove_baseline=True):
-    """extract_cycles as one slice per peak."""
+def loop_extract(lead, indices, half_width):
+    """extract_cycles as one slice per peak, baseline removed."""
     rows, skipped = [], 0
     for r in indices:
         lo, hi = int(r) - half_width, int(r) + half_width
@@ -59,9 +57,7 @@ def loop_extract(lead, indices, half_width, remove_baseline=True):
             skipped += 1
             continue
         w = lead[lo:hi].astype(np.float32)
-        if remove_baseline:
-            w = w - np.float32(np.concatenate((w[:10], w[-10:])).mean(dtype=np.float64))
-        rows.append(w)
+        rows.append(w - np.float32(np.concatenate((w[:10], w[-10:])).mean(dtype=np.float64)))
     return (np.stack(rows) if rows else np.empty((0, 2 * half_width), np.float32)), skipped
 
 
@@ -75,7 +71,7 @@ def assert_same_bits(got, want):
 class TestCutSegments:
     def test_splits_and_drops_tail(self):
         rec = EcgRecord(np.zeros((2, 5000), dtype=np.float32), 500.0, "r0")
-        segs = cut_segments(rec, seconds=9.0)
+        segs = cut_segments(rec)
         assert len(segs) == 1
         assert segs[0].n_samples == 4500
         assert segs[0].n_leads == 2
@@ -83,17 +79,18 @@ class TestCutSegments:
 
     def test_multiple_segments(self):
         rec = EcgRecord(np.zeros((1, 14000), dtype=np.float32), 500.0, "r1")
-        segs = cut_segments(rec, seconds=9.0)
+        segs = cut_segments(rec)
         assert [s.record_id for s in segs] == ["r1#0", "r1#1", "r1#2"]
 
     def test_short_record_yields_nothing(self):
         rec = EcgRecord(np.zeros((1, 100), dtype=np.float32), 500.0)
-        assert cut_segments(rec, seconds=9.0) == []
+        assert cut_segments(rec) == []
 
     def test_bad_length(self):
-        rec = EcgRecord(np.zeros((1, 100), dtype=np.float32), 500.0)
-        with pytest.raises(ValueError):
-            cut_segments(rec, seconds=0.0)
+        # a rate read from a file can make SEGMENT_S shorter than one sample
+        rec = EcgRecord(np.zeros((1, 100), dtype=np.float32), 0.05)
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            cut_segments(rec)
 
 
 class TestDetector:
@@ -101,8 +98,6 @@ class TestDetector:
         record, truth = gen_record(MorphologyParams(heart_rate_bpm=72.0),
                                    duration_s=10.0)
         peaks = detect_r_peaks(record.leads[0], record.sampling_rate_hz)
-        assert peaks.warning is None
-        assert peaks.detector_name == "bandpass-mwi"
         tp, fn, fp = match_counts(peaks.indices, truth, tol=10)
         assert fn == 0 and fp == 0
 
@@ -126,7 +121,11 @@ class TestDetector:
     def test_flat_lead_warns_instead_of_failing(self):
         peaks = detect_r_peaks(np.zeros(5000), 500.0)
         assert len(peaks) == 0
-        assert peaks.warning is not None
+        # the pipeline reports it as an empty segment
+        flat = EcgRecord(np.zeros((2, 5000), dtype=np.float32), 500.0)
+        cycles, _, stats = preprocess_records([flat])
+        assert cycles.shape == (0, 400)
+        assert stats["empty_segments"] == 2 and stats["peaks"] == 0
 
     def test_peaks_strictly_increasing_and_refractory(self):
         record, _ = gen_record(MorphologyParams(heart_rate_bpm=90.0, rr_jitter=0.05,
@@ -153,12 +152,12 @@ class TestDetector:
 class TestExtractCycles:
     def test_window_bounds_and_skips(self):
         lead = np.arange(1000, dtype=np.float32)
-        rows, skipped = extract_cycles(lead, np.array([100, 500, 950]),
-                                       half_width=200, remove_baseline=False)
+        rows, skipped = extract_cycles(lead, np.array([100, 500, 950]), half_width=200)
         # 100 - 200 < 0 and 950 + 200 > 1000 both cross the boundary
         assert skipped == 2
         assert rows.shape == (1, 400)
-        np.testing.assert_array_equal(rows[0], lead[300:700])
+        # the ramp's edge mean is (300 + ... + 309 + 690 + ... + 699) / 20 = 499.5
+        np.testing.assert_array_equal(rows[0], lead[300:700] - np.float32(499.5))
 
     def test_baseline_removal_hand_value(self):
         lead = np.full(600, 3.0, dtype=np.float32)
@@ -167,12 +166,6 @@ class TestExtractCycles:
         # edge mean is 3.0, so the window drops to zero with a 2.0 spike
         assert np.isclose(rows[0][:10].mean(), 0.0, atol=1e-6)
         assert np.isclose(rows[0][100], 2.0, atol=1e-6)
-
-    def test_no_baseline_keeps_offset(self):
-        lead = np.full(600, 3.0, dtype=np.float32)
-        rows, _ = extract_cycles(lead, np.array([300]), half_width=100,
-                                 remove_baseline=False)
-        assert rows[0][0] == 3.0
 
     def test_accepts_rpeaklist(self):
         lead = np.zeros(1000, dtype=np.float32)
@@ -185,9 +178,8 @@ class TestExtractCycles:
                                        np.array([], dtype=np.int64))
         assert rows.shape == (0, 400) and skipped == 0
 
-    @pytest.mark.parametrize("half_width,remove_baseline", [(200, True), (200, False),
-                                                            (4, True), (37, True)])
-    def test_gather_matches_slice_loop_bitwise(self, half_width, remove_baseline):
+    @pytest.mark.parametrize("half_width", [200, 4, 37])
+    def test_gather_matches_slice_loop_bitwise(self, half_width):
         record, _ = gen_record(MorphologyParams(heart_rate_bpm=95.0, noise_std=0.05, seed=4),
                                duration_s=10.0)
         lead = record.leads[0]
@@ -197,8 +189,8 @@ class TestExtractCycles:
         idx = np.concatenate(([-5, 0, 3, half_width - 1, half_width],
                               detect_r_peaks(lead, 500.0).indices,
                               [n - half_width, n - half_width + 1, n - 1, n + 9]))
-        rows, skipped = extract_cycles(lead, idx, half_width, remove_baseline)
-        want, want_skipped = loop_extract(lead, idx, half_width, remove_baseline)
+        rows, skipped = extract_cycles(lead, idx, half_width)
+        want, want_skipped = loop_extract(lead, idx, half_width)
         assert skipped == want_skipped
         assert rows.dtype == np.float32 and rows.shape == want.shape
         assert rows.tobytes() == want.tobytes()
@@ -256,8 +248,8 @@ class TestBatchedMatchesPerLeadOracle:
         assert got[2]["records"] == 5 and got[2]["segments"] == 6
         assert {rid.split("#")[0] for rid, _ in got[1]} == {"rec_0000", "rec_0001"}
         assert_same_bits(got, per_lead_oracle(records))
-        for kw in ({"half_width": 3, "remove_baseline": False}, {"seconds": 2.5}):
-            assert_same_bits(preprocess_records(records, **kw), per_lead_oracle(records, **kw))
+        assert_same_bits(preprocess_records(records, half_width=3),
+                         per_lead_oracle(records, half_width=3))
 
     def test_more_rows_than_one_stack_holds(self, monkeypatch):
         records = [rec for rec, _ in gen_corpus(21, seed=35, duration_s=10.0, n_leads=3)]

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from ecgvae import synth
 from ecgvae.synth import (
     DEFAULT_P,
     DEFAULT_R,
     DEFAULT_T,
+    MAX_NOISE_STD,
+    MAX_RECORD_SAMPLES,
     MorphologyParams,
     ParamRanges,
     Wave,
@@ -84,10 +87,17 @@ class TestWaveValidation:
         dict(noise_std=float("nan")),
         dict(heart_rate_bpm=float("nan")),
         dict(rr_jitter=float("nan")),
+        dict(noise_std=np.nextafter(MAX_NOISE_STD, np.inf)),
+        dict(noise_std=1e300),
     ])
     def test_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             MorphologyParams(**kwargs)
+
+    def test_noise_cap_is_inclusive_and_renders_finite(self):
+        p = MorphologyParams(noise_std=MAX_NOISE_STD, seed=1)
+        record, _ = gen_record(p, duration_s=1.0)
+        assert np.isfinite(record.leads).all()
 
 
 class TestGenRecord:
@@ -166,6 +176,22 @@ class TestCorpus:
         with pytest.raises(ValueError):
             gen_corpus(0, seed=0)
 
+    @pytest.mark.parametrize("n_leads", [1, 3])
+    def test_record_past_the_sample_cap_refused_before_placing_beats(self, monkeypatch,
+                                                                     n_leads):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached _beat_positions")
+
+        monkeypatch.setattr(synth, "_beat_positions", unreachable)
+        fits = MAX_RECORD_SAMPLES // n_leads / 500.0  # seconds at 500 Hz
+        for duration in (fits + 0.01, 1e8, 1e300):
+            with pytest.raises(ValueError, match="sample cap"):
+                gen_corpus(1, seed=0, duration_s=duration, n_leads=n_leads)
+        with pytest.raises(ValueError, match="sample cap"):
+            gen_record(MorphologyParams(), duration_s=MAX_RECORD_SAMPLES / 500.0 + 0.01)
+        with pytest.raises(AssertionError, match="reached"):  # at the cap: allowed
+            gen_corpus(1, seed=0, duration_s=fits, n_leads=n_leads)
+
     @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_duration_rejected(self, duration):
         with pytest.raises(ValueError, match="duration must be positive and finite"):
@@ -196,3 +222,10 @@ class TestSampleParams:
     def test_non_finite_range_rejected(self, pair):
         with pytest.raises(ValueError, match=r"range noise_std needs finite lo <= hi"):
             ParamRanges(noise_std=pair)
+
+    @pytest.mark.parametrize("pair", [(0.0, 1e300), (0.0, np.nextafter(MAX_NOISE_STD, np.inf)),
+                                      (-0.01, 0.01)])
+    def test_noise_range_outside_the_cap_rejected(self, pair):
+        with pytest.raises(ValueError, match=r"range noise_std must lie in \[0, 1000\] mV"):
+            ParamRanges(noise_std=pair)
+        ParamRanges(noise_std=(0.0, MAX_NOISE_STD))  # the cap itself is allowed
