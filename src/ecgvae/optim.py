@@ -23,8 +23,8 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: list[tuple[str, Parameter]], lr: float = 1e-3):
-        if lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:  # NaN fails this too
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         if not params:
             raise ValueError("Adam needs at least one parameter")
         self.params = list(params)

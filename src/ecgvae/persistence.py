@@ -19,7 +19,6 @@ import struct
 import zlib
 from pathlib import Path
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -394,6 +393,14 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """XML-escape SVG text: & first, then < and >, as xml.sax.saxutils.escape does.
+
+    Importing xml.sax.saxutils pulls in urllib, http, ssl and email at every start.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
               title: str = "") -> str:
     """Render stacked traces as SVG; returns the markup, writes it if path given.
@@ -429,7 +436,7 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
     ]
     if title:
         out.append(f'<text x="{_MARGIN_L}" y="20" font-family="monospace" '
-                   f'font-size="13" fill="#222222">{escape(title)}</text>')
+                   f'font-size="13" fill="#222222">{_escape(title)}</text>')
 
     for i, r in enumerate(rows):
         mid = _MARGIN_T + _BAND_H * i + _BAND_H / 2.0
@@ -441,7 +448,7 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
                    f'stroke-width="1.0"/>')
         if labels is not None:
             out.append(f'<text x="4" y="{_f(mid + 4)}" font-family="monospace" '
-                       f'font-size="11" fill="#222222">{escape(str(labels[i]))}</text>')
+                       f'font-size="11" fill="#222222">{_escape(str(labels[i]))}</text>')
 
     axis_y = _MARGIN_T + _BAND_H * len(rows) + 8
     out.append(f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_SVG_W - _MARGIN_R}" '

@@ -135,10 +135,11 @@ def preprocess_records(
     """records -> segments -> peaks -> cycles, with per-cycle provenance.
 
     Returns (cycles [n, 2 * half_width], [(record_id, lead_id)] per cycle,
-    stats with detected/skipped counts).
+    stats with detected/skipped counts). stats["empty_leads"] counts the
+    (segment, lead) rows in which no R peak was found.
     """
     stats = {"records": 0, "segments": 0, "peaks": 0, "skipped_windows": 0,
-             "empty_segments": 0}
+             "empty_leads": 0}
     rows: list[tuple[str, int, np.ndarray]] = []  # (segment id, lead id, lead)
     stacks: dict[tuple[float, int], list[int]] = {}  # (rate, length) -> row numbers
     for rec in records:
@@ -161,7 +162,7 @@ def preprocess_records(
     meta: list[tuple[str, int]] = []
     for i, (seg_id, lead_id, lead) in enumerate(rows):
         found = peaks[i]
-        stats["empty_segments"] += len(found) == 0
+        stats["empty_leads"] += len(found) == 0
         stats["peaks"] += len(found)
         cut, skipped = extract_cycles(lead, found, half_width)
         stats["skipped_windows"] += skipped

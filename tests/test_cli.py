@@ -619,6 +619,15 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_xml_or_network_stack(self):
+        # xml.sax.saxutils alone drags in urllib.request, http.client, ssl and email
+        code = ("import sys, ecgvae.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'xml', 'http', 'ssl', 'email'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_thread_pins_default_to_one_and_yield_to_preset_values(self, monkeypatch):
         preset = {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}
         unset = ("OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")

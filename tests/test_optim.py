@@ -74,7 +74,8 @@ class TestAdamErrors:
             opt.step()
         np.testing.assert_array_equal(p.data, [1.0])  # nothing moved
 
-    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1.0}, {"lr": float("nan")},
+                                        {"lr": float("inf")}])
     def test_bad_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             Adam([("p", make_param([1.0]))], **kwargs)

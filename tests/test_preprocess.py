@@ -32,14 +32,14 @@ def per_lead_oracle(records, half_width=200):
     """preprocess_records as one detect_r_peaks / extract_cycles call per (segment, lead)."""
     rows, meta = [], []
     stats = {"records": 0, "segments": 0, "peaks": 0, "skipped_windows": 0,
-             "empty_segments": 0}
+             "empty_leads": 0}
     for rec in records:
         stats["records"] += 1
         for seg in cut_segments(rec):
             stats["segments"] += 1
             for lead_id in range(seg.n_leads):
                 peaks = detect_r_peaks(seg.leads[lead_id], seg.sampling_rate_hz)
-                stats["empty_segments"] += len(peaks) == 0
+                stats["empty_leads"] += len(peaks) == 0
                 stats["peaks"] += len(peaks)
                 cut, skipped = extract_cycles(seg.leads[lead_id], peaks, half_width)
                 stats["skipped_windows"] += skipped
@@ -121,11 +121,11 @@ class TestDetector:
     def test_flat_lead_warns_instead_of_failing(self):
         peaks = detect_r_peaks(np.zeros(5000), 500.0)
         assert len(peaks) == 0
-        # the pipeline reports it as an empty segment
+        # the pipeline counts each flat lead of the one segment
         flat = EcgRecord(np.zeros((2, 5000), dtype=np.float32), 500.0)
         cycles, _, stats = preprocess_records([flat])
         assert cycles.shape == (0, 400)
-        assert stats["empty_segments"] == 2 and stats["peaks"] == 0
+        assert stats["empty_leads"] == 2 and stats["peaks"] == 0
 
     def test_peaks_strictly_increasing_and_refractory(self):
         record, _ = gen_record(MorphologyParams(heart_rate_bpm=90.0, rr_jitter=0.05,

@@ -1,12 +1,17 @@
 """Synthetic ECG oracles: bump placement, beat counts, seeds, corpus sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ecgvae import synth
+from ecgvae.data import CYCLE_LEN
 from ecgvae.synth import (
     DEFAULT_P,
+    DEFAULT_Q,
     DEFAULT_R,
+    DEFAULT_S,
     DEFAULT_T,
     MAX_NOISE_STD,
     MAX_RECORD_SAMPLES,
@@ -18,6 +23,184 @@ from ecgvae.synth import (
     gen_record,
     sample_params,
 )
+
+
+# Reference generator: one bump at a time, each sample's contributions added in
+# (beat, wave) order, and 11 scalar draws per lead. The vectorized generator
+# must reproduce it bit for bit.
+
+def add_beat(signal, r_pos, waves, fs):
+    """Accumulate one beat's bumps into `signal` around sample r_pos."""
+    n = signal.shape[0]
+    for w in waves:
+        c = r_pos + w.center * fs
+        half = 5.0 * w.width * fs
+        lo = max(0, int(np.floor(c - half)))
+        hi = min(n, int(np.ceil(c + half)) + 1)
+        if lo >= hi:
+            continue
+        t = np.arange(lo, hi, dtype=np.float64)
+        signal[lo:hi] += w.amplitude * np.exp(-0.5 * ((t - c) / (w.width * fs)) ** 2)
+
+
+def reference_sum(params, positions, n, fs):
+    signal = np.zeros(n, dtype=np.float64)
+    for pos in positions:
+        add_beat(signal, float(pos), params.waves, fs)
+    return signal
+
+
+def reference_lead(params, positions, n, fs, rng):
+    signal = reference_sum(params, positions, n, fs)
+    if params.noise_std > 0:
+        signal += params.noise_std * rng.standard_normal(n)
+    return signal.astype(np.float32)
+
+
+def reference_cycle(params, fs):
+    return reference_lead(params, [CYCLE_LEN // 2], CYCLE_LEN, fs,
+                          np.random.default_rng(params.seed))
+
+
+def reference_record(params, duration_s, fs):
+    n = int(round(duration_s * fs))
+    rng = np.random.default_rng(params.seed)
+    positions = synth._beat_positions(params, n, fs, rng)
+    return reference_lead(params, positions, n, fs, rng)[None, :], positions
+
+
+def reference_params(rng, ranges, seed):
+    def u(pair):
+        return float(rng.uniform(pair[0], pair[1]))
+
+    ws = u(ranges.width_scale)
+
+    def scaled(wave, center=None):
+        return Wave(wave.amplitude * u(ranges.amp_scale),
+                    wave.center if center is None else center, wave.width * ws)
+
+    return MorphologyParams(p=scaled(DEFAULT_P, u(ranges.p_center)), q=scaled(DEFAULT_Q),
+                            r=scaled(DEFAULT_R), s=scaled(DEFAULT_S),
+                            t=scaled(DEFAULT_T, u(ranges.t_center)),
+                            heart_rate_bpm=u(ranges.heart_rate_bpm),
+                            rr_jitter=u(ranges.rr_jitter), noise_std=u(ranges.noise_std),
+                            seed=seed)
+
+
+def reference_corpus(n_records, seed, ranges, duration_s, fs, n_leads):
+    n = int(round(duration_s * fs))
+    master = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_records):
+        rec_seed = int(master.integers(0, 2**63 - 1))
+        params = reference_params(master, ranges, rec_seed)
+        rng = np.random.default_rng(rec_seed)
+        positions = synth._beat_positions(params, n, fs, rng)
+        leads = [reference_lead(params, positions, n, fs, rng)]
+        for _ in range(1, n_leads):
+            lead_params = replace(reference_params(master, ranges, rec_seed),
+                                  heart_rate_bpm=params.heart_rate_bpm)
+            leads.append(reference_lead(lead_params, positions, n, fs, rng))
+        out.append((np.stack(leads), positions))
+    return out
+
+
+def assert_corpus_matches_reference(n_records, seed, ranges, duration_s, fs, n_leads):
+    got = gen_corpus(n_records, seed=seed, ranges=ranges, duration_s=duration_s, fs=fs,
+                     n_leads=n_leads)
+    want = reference_corpus(n_records, seed, ranges, duration_s, fs, n_leads)
+    assert len(got) == len(want)
+    for (record, positions), (leads, ref_positions) in zip(got, want):
+        assert np.array_equal(positions, ref_positions)
+        assert record.leads.dtype == np.float32
+        assert np.array_equal(record.leads, leads)
+
+
+# Tachycardic beats with a broad T: the first P starts before sample 0 and the
+# last T runs past the end; a 0.4 s T spans whole 2 s records.
+CLIPPED = MorphologyParams(t=Wave(0.3, 0.3, 0.4), heart_rate_bpm=220.0, rr_jitter=0.3)
+ORACLE_PARAMS = [
+    MorphologyParams(),
+    MorphologyParams(heart_rate_bpm=30.0, rr_jitter=0.2, noise_std=0.01, seed=3),
+    MorphologyParams(heart_rate_bpm=220.0, rr_jitter=0.4, noise_std=MAX_NOISE_STD, seed=4),
+    replace(CLIPPED, seed=5),
+    replace(CLIPPED, noise_std=0.05, seed=6),
+]
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("fs", [250.0, 360.0, 500.0])
+    @pytest.mark.parametrize("params", ORACLE_PARAMS)
+    def test_gen_cycle(self, params, fs):
+        cycle, r_index = gen_cycle(params, fs)
+        assert r_index == CYCLE_LEN // 2
+        assert np.array_equal(cycle, reference_cycle(params, fs))
+
+    @pytest.mark.parametrize("fs", [250.0, 360.0, 500.0])
+    @pytest.mark.parametrize("duration", [2.0, 7.3037, 20.0])  # 7.3037 s: no whole count
+    @pytest.mark.parametrize("params", ORACLE_PARAMS)
+    def test_gen_record(self, params, duration, fs):
+        record, positions = gen_record(params, duration_s=duration, fs=fs)
+        leads, ref_positions = reference_record(params, duration, fs)
+        assert np.array_equal(positions, ref_positions)
+        assert np.array_equal(record.leads, leads)
+
+    def test_clipped_at_both_ends(self):
+        record, positions = gen_record(CLIPPED, duration_s=2.0)
+        assert positions[0] + DEFAULT_P.center * 500 - 5 * DEFAULT_P.width * 500 < 0
+        assert positions[-1] + 0.3 * 500 + 5 * 0.4 * 500 > record.n_samples
+        assert np.array_equal(record.leads, reference_record(CLIPPED, 2.0, 500.0)[0])
+
+    def test_record_without_beats(self):
+        # at 30 bpm the first R falls at sample 500, past the end of a 1 s strip
+        params = MorphologyParams(heart_rate_bpm=30.0, noise_std=0.01)
+        record, positions = gen_record(params, duration_s=1.0)
+        assert positions.size == 0
+        assert np.array_equal(record.leads, reference_record(params, 1.0, 500.0)[0])
+
+    @pytest.mark.parametrize("n_leads", [1, 2, 3])
+    @pytest.mark.parametrize("fs,duration", [(250.0, 2.0), (360.0, 9.0037), (500.0, 20.0)])
+    def test_gen_corpus(self, n_leads, fs, duration):
+        assert_corpus_matches_reference(5, 11 * n_leads, ParamRanges(), duration, fs, n_leads)
+
+    @pytest.mark.parametrize("noise", [(0.0, 0.0), (MAX_NOISE_STD, MAX_NOISE_STD)])
+    def test_gen_corpus_noise_bounds_and_extreme_rates(self, noise):
+        ranges = ParamRanges(heart_rate_bpm=(30.0, 220.0), rr_jitter=(0.0, 0.45),
+                             width_scale=(0.5, 8.0), noise_std=noise)
+        assert_corpus_matches_reference(6, 5, ranges, 4.0, 500.0, 2)
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000, 3 * 2500])
+    def test_small_grid_cap_splits_bumps_and_batches(self, monkeypatch, cap):
+        # blocks end inside bumps and inside runs of overlapping bumps, and a
+        # gen_corpus render call holds one to a few records
+        monkeypatch.setattr(synth, "_GRID_CAP", cap)
+        assert_corpus_matches_reference(4, 9, ParamRanges(), 5.0, 500.0, 2)
+        for params in ORACLE_PARAMS[1:4]:
+            record, _ = gen_record(params, duration_s=2.0)
+            assert np.array_equal(record.leads, reference_record(params, 2.0, 500.0)[0])
+
+    @pytest.mark.parametrize("cap", [1, 7, 1000, 2 ** 16])
+    def test_float64_sums_keep_the_loop_order(self, monkeypatch, cap):
+        # the float32 outputs hide most last-bit changes in float64: compare the
+        # sums themselves, where a regrouped or reordered addition shows
+        monkeypatch.setattr(synth, "_GRID_CAP", cap)
+        rng = np.random.default_rng(8)
+        params = [sample_params(rng, ParamRanges(width_scale=(1.0, 4.0))) for _ in range(6)]
+        params += [CLIPPED, MorphologyParams(heart_rate_bpm=30.0)]
+        n, fs = 2000, 500.0
+        positions = [synth._beat_positions(p, n, fs, rng) for p in params]
+        signals = synth._render(params, positions, n, fs)
+        assert signals.shape == (len(params), n) and signals.dtype == np.float64
+        for p, pos, row in zip(params, positions, signals):
+            assert np.array_equal(row, reference_sum(p, pos, n, fs))
+
+    def test_default_corpus_matches_reference(self):
+        assert_corpus_matches_reference(40, 3, ParamRanges(), 10.0, 500.0, 1)
+
+    @pytest.mark.parametrize("wave", [Wave(0.3, 0.3, 1e306), Wave(0.3, 1e306, 0.05)])
+    def test_window_past_float_range_is_refused(self, wave):
+        with pytest.raises(ValueError, match="wave window is not finite"):
+            gen_record(MorphologyParams(t=wave), duration_s=2.0)
 
 
 class TestGenCycle:
@@ -176,6 +359,11 @@ class TestCorpus:
         with pytest.raises(ValueError):
             gen_corpus(0, seed=0)
 
+    @pytest.mark.parametrize("n_leads", [0, -1])
+    def test_no_leads_rejected(self, n_leads):
+        with pytest.raises(ValueError, match="n_leads must be >= 1"):
+            gen_corpus(1, seed=0, n_leads=n_leads)
+
     @pytest.mark.parametrize("n_leads", [1, 3])
     def test_record_past_the_sample_cap_refused_before_placing_beats(self, monkeypatch,
                                                                      n_leads):
@@ -201,6 +389,14 @@ class TestCorpus:
 
 
 class TestSampleParams:
+    def test_vector_draw_matches_scalar_draws(self):
+        ranges = ParamRanges(heart_rate_bpm=(40.0, 40.0), amp_scale=(0.5, 1.5))
+        for seed in range(200):
+            for r in (ParamRanges(), ranges):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_params(a, r, seed=seed) == reference_params(b, r, seed)
+                assert a.random() == b.random()  # both consumed the same stream
+
     def test_draws_within_ranges(self):
         rng = np.random.default_rng(0)
         ranges = ParamRanges()
