@@ -1,7 +1,10 @@
 """Time the conv/pool kernels at the model's layer shapes.
 
 Runs every hot kernel through the public [B, C, L] functions in
-ecgvae.kernels and prints a timing table (best of N). The figures differ
+ecgvae.kernels and prints a timing table (best of N). A last table times
+the decoder's three upsample->conv pairs at batch 256 both ways: an explicit
+nearest upsampling then conv1d_fwd, against the one polyphase convolution of
+upsample_conv1d_fwd that eval-mode inference runs. The figures differ
 from a training step in two ways. conv1d_bwd unfolds its input into im2col
 columns again, where autodiff keeps the columns from the forward pass. And
 the inputs here are in C order, where inside the model each conv after a
@@ -36,7 +39,15 @@ POOL_SHAPES = [
     ("enc pool3 64ch L100", 64, 100),
     ("enc pool4 128ch L50", 128, 50),
 ]
+# (label, in_channels, out_channels, input length) per decoder upsample -> conv pair
+UPCONV_SHAPES = [
+    ("dec up2+conv2 64->32 L25", 64, 32, 25),
+    ("dec up3+conv3 32->16 L50", 32, 16, 50),
+    ("dec up4+conv4 16->1 L100", 16, 1, 100),
+]
+UPCONV_BATCH = 256
 KERNEL_WIDTH = 5
+UP_FACTOR = 2
 POOL_WIDTH = 2
 
 
@@ -73,14 +84,27 @@ def bench_pool(batch: int, reps: int) -> list[tuple[str, float, float]]:
     return rows
 
 
-def print_table(title: str, rows) -> None:
+def bench_upconv(batch: int, reps: int) -> list[tuple[str, float, float]]:
+    rng = np.random.default_rng(2)
+    rows = []
+    for label, ci, co, length in UPCONV_SHAPES:
+        x = rng.standard_normal((batch, ci, length)).astype(np.float32)
+        w = rng.standard_normal((co, ci, KERNEL_WIDTH)).astype(np.float32)
+        rows.append((label,
+                     best_ms(lambda: kernels.conv1d_fwd(kernels.upsample1d(x, UP_FACTOR), w),
+                             reps),
+                     best_ms(lambda: kernels.upsample_conv1d_fwd(x, w, UP_FACTOR), reps)))
+    return rows
+
+
+def print_table(title: str, rows, cols: tuple[str, str] = ("fwd", "bwd")) -> None:
     print(f"\n{title}")
-    head = f"{'layer':<24}{'fwd':>12}{'bwd':>12}"
+    head = f"{'layer':<26}{cols[0]:>16}{cols[1]:>12}"
     print(head)
     print("-" * len(head))
-    for label, fwd, bwd in rows:
-        print(f"{label:<24}{fwd:>10.3f}ms{bwd:>10.3f}ms")
-    print(f"{'total':<24}{sum(r[1] for r in rows):>10.3f}ms{sum(r[2] for r in rows):>10.3f}ms")
+    for label, a, b in rows:
+        print(f"{label:<26}{a:>14.3f}ms{b:>10.3f}ms")
+    print(f"{'total':<26}{sum(r[1] for r in rows):>14.3f}ms{sum(r[2] for r in rows):>10.3f}ms")
 
 
 def main() -> None:
@@ -95,6 +119,9 @@ def main() -> None:
     print(f"kernels: {kernels.backend_name()}  (batch {batch}, best of {reps} reps)")
     print_table(f"conv1d (same padding, K={KERNEL_WIDTH})", bench_conv(batch, reps))
     print_table(f"maxpool1d (width {POOL_WIDTH})", bench_pool(batch, reps))
+    up_batch = batch if args.quick else UPCONV_BATCH
+    print_table(f"upsample x{UP_FACTOR} -> conv1d (K={KERNEL_WIDTH}, batch {up_batch})",
+                bench_upconv(up_batch, reps), cols=("upsample+conv", "polyphase"))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ backward() on a scalar loss walks the recorded graph in reverse topological
 order and accumulates gradients into every tensor that requires them.
 An op records itself on this tape only when one of its inputs requires grad
 and recording is on; otherwise its output is a plain constant with no
-parents. `recording(False)` turns the tape off for a block, which is how
-eval-mode inference runs the same ops without keeping the graph alive.
+parents. `recording(False)` turns the tape off for a block, and
+`is_recording()` tells whether it is on. Eval-mode inference runs inside such
+a block, so nothing of its graph stays alive; there the layer chains run as
+one fused numpy pass (layers.Sequential), and only the joins and heads run
+as ops.
 Gradient accumulation is additive on purpose: a tensor consumed by two ops
 receives the sum of both contributions.
 
@@ -173,6 +176,11 @@ def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
 _recording: ContextVar[bool] = ContextVar("recording", default=True)  # per thread
 
 
+def is_recording() -> bool:
+    """Whether ops record the tape here (an enclosing `recording(False)` turns it off)."""
+    return _recording.get()
+
+
 @contextmanager
 def recording(on: bool):
     """Record the tape inside the block only if `on`; an outer off still wins.
@@ -181,7 +189,7 @@ def recording(on: bool):
     masks) are dropped as soon as the op returns, and max pooling builds no
     route at all.
     """
-    token = _recording.set(_recording.get() and on)
+    token = _recording.set(is_recording() and on)
     try:
         yield
     finally:
@@ -190,7 +198,7 @@ def recording(on: bool):
 
 def _records(parents: Sequence[Tensor]) -> bool:
     """Whether an op on `parents` goes on the tape, so its backward-only state is needed."""
-    return _recording.get() and any(p.requires_grad for p in parents)
+    return is_recording() and any(p.requires_grad for p in parents)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str,
@@ -439,12 +447,7 @@ def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
                 gx += g[:, :, j::factor]
             x._accumulate(gx)
 
-    # np.repeat would give C order
-    b, c, length = x.data.shape
-    y = np.empty_like(x.data, shape=(b, c, length * factor))
-    for j in range(factor):
-        y[:, :, j::factor] = x.data
-    return _node(y, (x,), bwd, "upsample1d")
+    return _node(kernels.upsample1d(x.data, factor), (x,), bwd, "upsample1d")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,28 @@ checkpoint layout, stays as written.
 Every layer takes and gives [B, C, L] (or [B, F]). A conv chain runs
 channel-major in memory: Conv1d's output is a [B, C, L] view of [C, B, L]
 memory, and the layers after it keep that memory order.
+
+In eval mode with the tape off (model.encode/decode), Sequential runs its
+chain as one numpy pass instead of op by op. Each Conv1d or Dense with a
+BatchNorm1d after it is one affine map, w' = w * s and b' = (b - mean) * s +
+beta with s = gamma / sqrt(var + eps) computed as batch_norm computes it;
+the fold is redone on every call, so no weight is cached. A ReLU after it
+runs in place. An UpsampleNearest1d before a stride-1 Conv1d runs with it as
+one polyphase convolution (kernels.upsample_conv1d_fwd). Only the chain's
+output is checked for NaN/Inf. If it is not finite, or if an input does not
+fit a layer, the chain runs again op by op, which returns its result or
+raises the error that names the op. The fused result matches the per-op one
+to about 1e-6 relative; the parameters and the tape-on path do not change.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 
 
@@ -131,6 +146,11 @@ class BatchNorm1d(Layer):
             ).astype(np.float32)
         return out
 
+    def eval_scale(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, mean) of the eval map y = (x - mean) * scale + beta, in batch_norm's order."""
+        mean, var = (np.asarray(s, dtype=dtype) for s in (self.running_mean, self.running_var))
+        return self.gamma.data * (var + self.eps) ** -0.5, mean
+
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}gamma", self.gamma), (f"{prefix}beta", self.beta)]
 
@@ -164,12 +184,20 @@ class UpsampleNearest1d(Layer):
 
 
 class Sequential(Layer):
-    """Applies layers in order, threading the train flag through."""
+    """Applies layers in order, threading the train flag through.
+
+    In eval mode with the tape off the chain runs as one fused numpy pass
+    (see the module docstring); otherwise each layer runs as its op.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        if not train and not ad.is_recording():
+            y = self._fused_eval(x.data)
+            if y is not None:
+                return Tensor(y, op="sequential")
         fused = False
         for layer, nxt in zip(self.layers, self.layers[1:] + [None]):
             if fused:  # this ReLU already ran inside the preceding batch norm
@@ -180,6 +208,56 @@ class Sequential(Layer):
                 x = layer.forward(x, train=train, relu=fused)
             else:
                 x = layer(x, train=train)
+        return x
+
+    def _fused_eval(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """The eval-mode chain on x as one numpy pass; None where the per-op path must run.
+
+        That is a chain with a batch norm or ReLU that no conv or dense comes
+        before, an input some layer would refuse or a dtype that differs from
+        a parameter's (the per-op path raises the DimensionError, or mixes
+        dtypes as its ops do), or a non-finite output (it raises the
+        NumericsError naming the op, or returns a finite result).
+        """
+        if any(p.data.dtype != x.dtype for _, p in self.named_parameters()):
+            return None
+        layers, i = self.layers + [None], 0  # None: no layer after the last
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while i < len(self.layers):
+                layer, i = layers[i], i + 1
+                factor = 1
+                if (isinstance(layer, UpsampleNearest1d) and isinstance(layers[i], Conv1d)
+                        and layers[i].stride == 1 and x.ndim == 3):
+                    factor, layer, i = layer.factor, layers[i], i + 1
+                if not _takes(layer, x):
+                    return None
+                if isinstance(layer, (Dense, Conv1d)):
+                    w, b = layer.weight.data, layer.bias.data
+                    norm = layers[i]
+                    if isinstance(norm, BatchNorm1d):
+                        if norm.gamma.data.shape[0] != w.shape[0]:
+                            return None
+                        scale, mean = norm.eval_scale(x.dtype)
+                        w = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
+                        b = (b - mean) * scale + norm.beta.data
+                        i += 1
+                    if isinstance(layer, Dense):
+                        x = x @ w.T + b
+                    elif factor > 1:
+                        x = kernels.upsample_conv1d_fwd(x, w, factor, b)
+                    else:
+                        x = kernels.conv1d_fwd(x, w, layer.stride, b)
+                    if isinstance(layers[i], ReLU):
+                        x *= x > 0  # like batch_norm's fused ReLU: -inf becomes NaN, not 0
+                        i += 1
+                elif isinstance(layer, MaxPool1d):
+                    x = kernels.maxpool1d(x, layer.width)
+                elif isinstance(layer, UpsampleNearest1d):
+                    x = kernels.upsample1d(x, layer.factor)
+                else:  # a batch norm or ReLU with no conv or dense before it
+                    return None
+            if not np.isfinite(x).all():
+                return None
         return x
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
@@ -193,3 +271,16 @@ class Sequential(Layer):
         for i, layer in enumerate(self.layers):
             out.extend(layer.named_state(f"{prefix}{i:02d}."))
         return out
+
+
+def _takes(layer: Layer, x: np.ndarray) -> bool:
+    """Whether `layer`'s op accepts x's rank and width, as its per-op checks would."""
+    if isinstance(layer, Dense):
+        return x.ndim == 2 and x.shape[1] == layer.weight.data.shape[1]
+    if isinstance(layer, Conv1d):
+        return x.ndim == 3 and x.shape[1] == layer.weight.data.shape[1]
+    if isinstance(layer, MaxPool1d):
+        return x.ndim == 3 and layer.width <= x.shape[2]
+    if isinstance(layer, UpsampleNearest1d):
+        return x.ndim == 3
+    return True

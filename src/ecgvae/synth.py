@@ -19,6 +19,7 @@ one record when a record is longer.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -41,7 +42,8 @@ class Wave:
     width: float
 
     def __post_init__(self):
-        if not (np.isfinite([self.amplitude, self.center]).all() and 0 < self.width < np.inf):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.center)
+                and 0 < self.width < math.inf):
             raise ValueError(f"wave needs finite amplitude and center, finite width > 0: {self}")
 
 

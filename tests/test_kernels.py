@@ -146,6 +146,58 @@ class TestConvOracle:
         np.testing.assert_array_equal(d1[1], d2[1])
 
 
+def naive_upsample_conv(x, w, factor, bias):
+    """Loop oracle for upsample_conv1d_fwd: a same-padded conv that reads the repeated
+    input u[j] = x[j // factor] straight from x."""
+    b, ci, length = x.shape
+    co, _, k = w.shape
+    pad = (k - 1) // 2
+    y = np.zeros((b, co, factor * length))
+    for bb in range(b):
+        for o in range(co):
+            for j in range(factor * length):
+                y[bb, o, j] = bias[o]
+                for i in range(ci):
+                    for kk in range(k):
+                        pos = j + kk - pad
+                        if 0 <= pos < factor * length:
+                            y[bb, o, j] += w[o, i, kk] * x[bb, i, pos // factor]
+    return y
+
+
+class TestUpsampleConvOracle:
+    @pytest.mark.parametrize("memory", ["C", "channel-major"])
+    @pytest.mark.parametrize("length", [1, 2, 7, 25])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_matches_upsampled_conv_and_loop(self, factor, k, length, memory, rng):
+        x = rng.standard_normal((2, 3, length))
+        w = rng.standard_normal((4, 3, k))
+        bias = rng.standard_normal(4)
+        xin = channel_major(x) if memory == "channel-major" else x
+        ref = naive_upsample_conv(x, w, factor, bias)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            got = kernels.upsample_conv1d_fwd(xin.astype(dtype), w.astype(dtype), factor,
+                                              bias.astype(dtype))
+            plain = kernels.conv1d_fwd(kernels.upsample1d(xin.astype(dtype), factor),
+                                       w.astype(dtype), 1, bias.astype(dtype))
+            assert got.dtype == dtype and got.shape == (2, 4, factor * length)
+            assert got.swapaxes(0, 1).flags.c_contiguous
+            atol = rtol * np.abs(ref).max()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+            np.testing.assert_allclose(got, plain, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("factor,k,taps", [(1, 5, 5), (2, 5, 3), (3, 5, 3), (2, 7, 5),
+                                               (3, 7, 3), (2, 1, 1), (4, 3, 3)])
+    def test_phase_weights_have_2_ceil_p_over_f_plus_1_taps(self, factor, k, taps, rng):
+        w = rng.standard_normal((4, 3, k))
+        wp = kernels.polyphase_weight(w, factor)
+        assert wp.shape == (factor * 4, 3, taps)
+        # each phase reads every tap of w exactly once
+        np.testing.assert_allclose(wp.reshape(factor, 4, 3, taps).sum(axis=3),
+                                   np.broadcast_to(w.sum(axis=2), (factor, 4, 3)), atol=1e-12)
+
+
 class TestPoolOracle:
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("length", [12, 13, 14])
@@ -229,5 +281,6 @@ def test_kernel_benchmark_quick_run():
     res = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--quick"],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    for label in ("enc conv1  1->16 L400", "dec conv4 16->1 L200", "enc pool4 128ch L50"):
+    for label in ("enc conv1  1->16 L400", "dec conv4 16->1 L200", "enc pool4 128ch L50",
+                  "dec up4+conv4 16->1 L100"):
         assert label in res.stdout

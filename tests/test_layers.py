@@ -7,7 +7,7 @@ from conftest import max_grad_rel_err
 from ecgvae import autodiff as ad
 from ecgvae import kernels
 from ecgvae.autodiff import Tensor
-from ecgvae.errors import DimensionError
+from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.layers import (
     BatchNorm1d,
     Conv1d,
@@ -19,6 +19,7 @@ from ecgvae.layers import (
     he_uniform,
 )
 from ecgvae.model import VaeModel
+from ecgvae.training import TrainConfig, train
 
 TOL = 1e-4
 
@@ -310,6 +311,99 @@ class TestChannelMajorChains:
         np.testing.assert_array_equal(off.data, on.data)
         assert off._backward is None and off._parents == ()
         assert not np.shares_memory(off.data, x.data)
+
+
+@pytest.fixture(scope="module")
+def trained() -> VaeModel:
+    """The default model after 2 epochs on Gaussian bumps: running statistics moved off 0 and 1."""
+    rng = np.random.default_rng(21)
+    t = np.arange(400, dtype=np.float64)
+    centers = rng.uniform(120, 280, size=(160, 1))
+    cycles = rng.uniform(0.5, 1.5, size=(160, 1)) * np.exp(-0.5 * ((t - centers) / 12.0) ** 2)
+    model, _ = train(cycles.astype(np.float32), TrainConfig(seed=4, epochs=2, batch_size=32))
+    return model
+
+
+def _one_by_one(layers: list, x: np.ndarray) -> np.ndarray:
+    """The eval chain as each layer's own op, with the tape off."""
+    t = Tensor(x)
+    with ad.recording(False):
+        for layer in layers:
+            t = layer(t)
+    return t.data
+
+
+def _fused(seq: Sequential, x: np.ndarray) -> np.ndarray:
+    with ad.recording(False):
+        out = seq(Tensor(x))
+    assert out.op == "sequential", "the fused pass did not run"
+    return out.data
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray, rel: float = 1e-5) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestFusedEval:
+    """With the tape off, an eval-mode chain runs as one numpy pass: batch norms folded
+    into the conv or dense before them, an upsampling folded into the conv after it."""
+
+    @pytest.mark.parametrize("chain,width", [("enc_conv", (1, 400)), ("enc_dense", (400,)),
+                                             ("dec_dense", (25,)), ("dec_conv", (1, 25))])
+    @pytest.mark.parametrize("batch", [1, 10, 256])
+    def test_matches_the_layers_one_by_one(self, trained, chain, width, batch):
+        seq = getattr(trained, chain)
+        norms = [layer for layer in seq.layers if isinstance(layer, BatchNorm1d)]
+        assert norms and all((n.running_var != 1).any() and (n.running_mean != 0).any()
+                             for n in norms)
+        x = np.random.default_rng(batch).standard_normal((batch,) + width).astype(np.float32)
+        _assert_close(_fused(seq, x), _one_by_one(seq.layers, x))
+
+    @pytest.mark.parametrize("batch", [1, 10, 256])
+    def test_stride2_chain_matches_the_layers_one_by_one(self, batch):
+        layers = _stride2_chain(8)
+        rng = np.random.default_rng(9)
+        for _ in range(3):  # move the running statistics off 0 and 1
+            Sequential(layers)(Tensor(2.0 * rng.standard_normal((16, 3, 37)).astype(np.float32)
+                                      + 0.5), train=True)
+        assert all((n.running_var != 1).all() for n in layers if isinstance(n, BatchNorm1d))
+        x = rng.standard_normal((batch, 3, 37)).astype(np.float32)
+        _assert_close(_fused(Sequential(layers), x), _one_by_one(layers, x))
+
+    def test_runs_only_in_eval_with_the_tape_off(self, trained):
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 1, 25)).astype(np.float32))
+        assert trained.dec_conv(x).op == "upsample1d"  # tape on: the per-op path
+        with ad.recording(False):
+            assert trained.dec_conv(x).op == "sequential"
+            assert trained.dec_conv(x, train=True).op == "upsample1d"
+
+    def test_non_finite_fold_falls_back_to_the_per_op_result(self):
+        # w' = w * s overflows float32 where w @ x and the normalization after it do not
+        dense = Dense(1, 1, rng=np.random.default_rng(0))
+        dense.weight.data[...] = 1e38
+        norm = BatchNorm1d(1)
+        norm.gamma.data[...] = 10.0
+        layers = [dense, norm, ReLU()]
+        x = np.full((2, 1), 1e-30, dtype=np.float32)
+        with ad.recording(False):
+            out = Sequential(layers)(Tensor(x))
+        assert out.op == "batch_norm"
+        np.testing.assert_array_equal(out.data, _one_by_one(layers, x))
+        assert np.isfinite(out.data).all()
+
+    def test_minus_inf_before_a_relu_is_not_zeroed_away(self):
+        dense = Dense(2, 2, rng=np.random.default_rng(0))
+        dense.weight.data[0, 0] = -np.inf
+        with ad.recording(False), pytest.raises(NumericsError, match="'dense'"):
+            Sequential([dense, ReLU()])(Tensor(np.ones((3, 2), dtype=np.float32)))
+
+    def test_input_a_layer_refuses_still_raises_its_error(self, trained):
+        with ad.recording(False):
+            with pytest.raises(DimensionError, match="conv1d: input has 2 channels"):
+                trained.dec_conv(Tensor(np.zeros((2, 2, 25), dtype=np.float32)))
+            with pytest.raises(DimensionError, match="pool width 2 exceeds input length 1"):
+                Sequential([MaxPool1d(2)])(Tensor(np.zeros((2, 3, 1), dtype=np.float32)))
 
 
 def test_he_uniform_respects_fan_in():

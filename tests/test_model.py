@@ -1,5 +1,6 @@
 """Model contracts: shapes, loss formulas vs oracles, determinism, gradients."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -155,6 +156,37 @@ class TestTapeFreeEval:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericsError, match="conv1d"):
                 model.encode(x, train=train)
+
+    @staticmethod
+    def _per_op_error(layers, x) -> str:
+        """The NumericsError message of the chain's layers run one by one, tape off."""
+        t = Tensor(x)
+        with ad.recording(False), pytest.raises(NumericsError) as err:
+            for layer in layers:
+                t = layer(t)
+        return str(err.value)
+
+    def test_poisoned_running_mean_names_the_per_op_op(self, rng):
+        model = VaeModel.build(seed=0)
+        model.dec_conv.layers[1].running_mean[3] = np.nan
+        z = rng.standard_normal((4, 25)).astype(np.float32)
+        want = self._per_op_error(model.dec_conv.layers, z.reshape(4, 1, 25))
+        assert "batch_norm" in want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match=re.escape(want)):
+                model.decode(z)
+
+    def test_infinite_conv_weight_names_the_per_op_op(self, rng):
+        model = VaeModel.build(seed=0)
+        model.enc_conv.layers[4].weight.data[2, 5, 1] = np.inf
+        x = rng.standard_normal((4, 400)).astype(np.float32)
+        want = self._per_op_error(model.enc_conv.layers, x.reshape(4, 1, 400))
+        assert "conv1d" in want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match=re.escape(want)):
+                model.encode(x)
 
     def test_encode_batch_keeps_no_graph_alive(self, rng):
         model = VaeModel.build(seed=0)
