@@ -24,53 +24,57 @@ def sample_synthetic(model: VaeModel, n: int, seed: int) -> SampleSet:
     return SampleSet(decode_batch(model, z))
 
 
-def latent_traversal(model: VaeModel, base_z: np.ndarray, feature: int,
+def _traversal_codes(model: VaeModel, base_z: np.ndarray, features: Sequence[int],
                      values: Sequence[float]) -> np.ndarray:
-    """Decode copies of base_z with one coordinate swept over `values`."""
+    """Codes [len(features), len(values), latent]: copies of base_z with the feature
+    of the row set to each value."""
     base_z = np.asarray(base_z, dtype=model.dtype).reshape(-1)
     latent = model.config.latent_dim
     if base_z.shape[0] != latent:
         raise DimensionError(f"base_z must have length {latent}, got {base_z.shape[0]}")
-    if not 0 <= feature < latent:
-        raise IndexError(f"feature index {feature} outside [0, {latent})")
+    for feature in features:
+        if not 0 <= feature < latent:
+            raise IndexError(f"feature index {feature} outside [0, {latent})")
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size < 1:
         raise ValueError("traversal needs at least one value")
     if not (np.abs(vals) <= np.finfo(model.dtype).max).all():
         raise ValueError(f"traversal values must be finite in {np.dtype(model.dtype).name}")
     vals = vals.astype(model.dtype)
-    z = np.tile(base_z, (vals.size, 1))
-    z[:, feature] = vals
-    return decode_batch(model, z)
+    z = np.tile(base_z, (len(features), vals.size, 1))
+    for row, feature in zip(z, features):
+        row[:, feature] = vals
+    return z
+
+
+def latent_traversal(model: VaeModel, base_z: np.ndarray, feature: int,
+                     values: Sequence[float]) -> np.ndarray:
+    """Decode copies of base_z with one coordinate swept over `values`."""
+    return decode_batch(model, _traversal_codes(model, base_z, [feature], values)[0])
 
 
 def traversal_sweep(model: VaeModel, out_dir, seed: int,
                     values: Optional[Sequence[float]] = None,
-                    features: Optional[Sequence[int]] = None,
-                    base: str = "zero") -> list[Path]:
-    """One SVG per latent feature, each stacking the traversal's decoded traces.
+                    features: Optional[Sequence[int]] = None) -> list[Path]:
+    """One SVG per latent feature, each stacking the traces of its sweep around the zero code.
 
-    base_z is the zero vector by default or a single posterior-style draw
-    ("random", seeded) shared by every feature. Files are named by feature
-    index and written deterministically.
+    Every feature and value is checked before the first file is written.
+    `seed` does not change the plots. Files are named by feature index and
+    written deterministically.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     latent = model.config.latent_dim
-    if base == "zero":
-        base_z = np.zeros(latent, dtype=model.dtype)
-    elif base == "random":
-        base_z = np.random.default_rng(seed).standard_normal(latent).astype(model.dtype)
-    else:
-        raise ValueError(f"base must be 'zero' or 'random', got {base!r}")
     vals = np.asarray(TRAVERSAL_GRID if values is None else list(values), dtype=np.float64)
-    feats = range(latent) if features is None else list(features)
+    feats = range(latent) if features is None else [int(f) for f in features]
+    codes = _traversal_codes(model, np.zeros(latent, dtype=model.dtype), feats, vals)
     paths = []
-    for f in feats:
-        traces = latent_traversal(model, base_z, int(f), vals)
-        labels = [f"z[{int(f)}]={v:+.2f}" for v in vals]
-        p = out_dir / f"traversal_feature_{int(f):02d}.svg"
-        emit_plot(traces, labels, p, title=f"latent feature {int(f)} sweep")
+    for f, z in zip(feats, codes):
+        # one decode per feature, as latent_traversal does: a single decode of all the
+        # codes rounds differently, because the BLAS picks its sgemm kernel by matrix size
+        labels = [f"z[{f}]={v:+.2f}" for v in vals]
+        p = out_dir / f"traversal_feature_{f:02d}.svg"
+        emit_plot(decode_batch(model, z), labels, p, title=f"latent feature {f} sweep")
         paths.append(p)
     return paths
 

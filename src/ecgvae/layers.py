@@ -2,7 +2,9 @@
 
 Layers own Parameter tensors (He-uniform initialized from a caller-supplied
 Generator); the model's layer table (model.layer_table) names each layer by
-its class and constructor arguments.
+its class and constructor arguments. The fixed settings are class
+constants: BatchNorm1d's momentum 0.1 and eps 1e-5, MaxPool1d's width 2 and
+UpsampleNearest1d's factor 2. Conv1d runs with stride 1.
 BatchNorm1d is one autodiff op; it normalizes with the population variance
 (divide by N) and keeps float32 running statistics updated only on
 train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
@@ -18,7 +20,7 @@ chain as one numpy pass instead of op by op. Each Conv1d or Dense with a
 BatchNorm1d after it is one affine map, w' = w * s and b' = (b - mean) * s +
 beta with s = gamma / sqrt(var + eps) computed as batch_norm computes it;
 the fold is redone on every call, so no weight is cached. A ReLU after it
-runs in place. An UpsampleNearest1d before a stride-1 Conv1d runs with it as
+runs in place. An UpsampleNearest1d before a Conv1d runs with it as
 one polyphase convolution (kernels.upsample_conv1d_fwd). Only the chain's
 output is checked for NaN/Inf. If it is not finite, or if an input does not
 fit a layer, the chain runs again op by op, which returns its result or
@@ -87,15 +89,12 @@ class Dense(Layer):
 class Conv1d(Layer):
     """Same-padded 1-d convolution (cross-correlation) with bias."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 5,
-                 stride: int = 1, *, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
+                 rng: np.random.Generator, dtype=np.float32):
         if kernel_size % 2 != 1:
             raise ValueError(f"kernel_size must be odd, got {kernel_size}")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
         if in_channels < 1 or out_channels < 1:
             raise ValueError("channel counts must be positive")
-        self.stride = stride
         fan_in = in_channels * kernel_size
         self.weight = Parameter(
             he_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, dtype)
@@ -103,7 +102,7 @@ class Conv1d(Layer):
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, stride=self.stride)
+        return ad.conv1d(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(f"{prefix}weight", self.weight), (f"{prefix}bias", self.bias)]
@@ -118,16 +117,12 @@ class BatchNorm1d(Layer):
     modes so their gradients always flow.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
-                 *, dtype=np.float32):
+    momentum = 0.1  # weight of the current batch in the running statistics
+    eps = 1e-5
+
+    def __init__(self, num_features: int, *, dtype=np.float32):
         if num_features < 1:
             raise ValueError("num_features must be positive")
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
         self.beta = Parameter(np.zeros(num_features, dtype=dtype))
         self.running_mean = np.zeros(num_features, dtype=np.float32)
@@ -164,20 +159,14 @@ class ReLU(Layer):
 
 
 class MaxPool1d(Layer):
-    def __init__(self, width: int = 2):
-        if width < 1:
-            raise ValueError(f"pool width must be >= 1, got {width}")
-        self.width = width
+    width = 2
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return ad.maxpool1d(x, self.width)
 
 
 class UpsampleNearest1d(Layer):
-    def __init__(self, factor: int = 2):
-        if factor < 1:
-            raise ValueError(f"upsample factor must be >= 1, got {factor}")
-        self.factor = factor
+    factor = 2
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return ad.upsample1d(x, self.factor)
@@ -225,10 +214,10 @@ class Sequential(Layer):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while i < len(self.layers):
                 layer, i = layers[i], i + 1
-                factor = 1
-                if (isinstance(layer, UpsampleNearest1d) and isinstance(layers[i], Conv1d)
-                        and layers[i].stride == 1 and x.ndim == 3):
-                    factor, layer, i = layer.factor, layers[i], i + 1
+                upsample = (isinstance(layer, UpsampleNearest1d)
+                            and isinstance(layers[i], Conv1d) and x.ndim == 3)
+                if upsample:
+                    layer, i = layers[i], i + 1
                 if not _takes(layer, x):
                     return None
                 if isinstance(layer, (Dense, Conv1d)):
@@ -243,10 +232,10 @@ class Sequential(Layer):
                         i += 1
                     if isinstance(layer, Dense):
                         x = x @ w.T + b
-                    elif factor > 1:
-                        x = kernels.upsample_conv1d_fwd(x, w, factor, b)
+                    elif upsample:
+                        x = kernels.upsample_conv1d_fwd(x, w, UpsampleNearest1d.factor, b)
                     else:
-                        x = kernels.conv1d_fwd(x, w, layer.stride, b)
+                        x = kernels.conv1d_fwd(x, w, bias=b)
                     if isinstance(layers[i], ReLU):
                         x *= x > 0  # like batch_norm's fused ReLU: -inf becomes NaN, not 0
                         i += 1

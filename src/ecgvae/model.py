@@ -15,7 +15,7 @@ other so they cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -41,44 +41,40 @@ from .layers import (
 _CHAINS = ("enc_conv", "enc_dense", "mu_head", "logvar_head", "dec_dense", "dec_conv", "out_head")
 
 
+# width of every conv but the encoder's last, which collapses the channels with width 1
+KERNEL_SIZE = 5
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters of the architecture; defaults reproduce the 400->25 stack."""
+    """Layer sizes of the architecture; defaults reproduce the 400->25 stack.
+
+    The rest is fixed: KERNEL_SIZE, MaxPool1d.width, UpsampleNearest1d.factor
+    and BatchNorm1d's momentum and eps.
+    """
 
     input_len: int = CYCLE_LEN
     latent_dim: int = 25
     conv_channels: tuple[int, ...] = (16, 32, 64, 128)
-    kernel_size: int = 5
     enc_dense: tuple[int, ...] = (256, 64)
     dec_dense: tuple[int, ...] = (64, 128, 256)
     dec_conv_channels: tuple[int, ...] = (64, 32, 16)
-    pool_width: int = 2
-    up_factor: int = 2
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
-        # everything the layer constructors reject, so a layer table is valid before any is built
-        for name in ("input_len", "latent_dim", "conv_channels", "kernel_size", "enc_dense",
-                     "dec_dense", "dec_conv_channels", "pool_width", "up_factor"):
-            value = getattr(self, name)
+        # every size the layer constructors reject, so a layer table is valid before any is built
+        for field in fields(self):
+            value = getattr(self, field.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                    raise ValueError(f"{name} must hold ints >= 1, got {value!r}")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ValueError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
-        if not self.bn_eps > 0.0:
-            raise ValueError(f"bn_eps must be positive, got {self.bn_eps}")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd")
+                    raise ValueError(f"{field.name} must hold ints >= 1, got {value!r}")
         n_pools = len(self.conv_channels)
-        if self.input_len != self.latent_dim * self.pool_width ** n_pools:
+        if self.input_len != self.latent_dim * MaxPool1d.width ** n_pools:
             raise ValueError(
                 f"input_len {self.input_len} must equal latent_dim {self.latent_dim} "
-                f"* pool_width^{n_pools}"
+                f"* {MaxPool1d.width}^{n_pools}"
             )
         n_ups = len(self.dec_conv_channels) + 1
-        if self.latent_dim * self.up_factor ** n_ups != self.input_len:
+        if self.latent_dim * UpsampleNearest1d.factor ** n_ups != self.input_len:
             raise ValueError(
                 "decoder upsampling must map latent_dim back to input_len"
             )
@@ -103,20 +99,19 @@ def layer_table(config: ModelConfig) -> dict[str, list[dict]]:
     """
     latent, n = config.latent_dim, config.input_len
 
-    def conv(c_in: int, c_out: int, width: int = config.kernel_size) -> dict:
+    def conv(c_in: int, c_out: int, width: int = KERNEL_SIZE) -> dict:
         return {"kind": "Conv1d", "in_channels": c_in, "out_channels": c_out,
-                "kernel_size": width, "stride": 1}
+                "kernel_size": width}
 
     def dense(n_in: int, n_out: int) -> dict:
         return {"kind": "Dense", "in_features": n_in, "out_features": n_out}
 
     def norm_relu(width: int) -> list[dict]:
-        return [{"kind": "BatchNorm1d", "num_features": width,
-                 "momentum": config.bn_momentum, "eps": config.bn_eps}, {"kind": "ReLU"}]
+        return [{"kind": "BatchNorm1d", "num_features": width}, {"kind": "ReLU"}]
 
-    def conv_chain(channels: tuple[int, ...], resample: dict) -> list[dict]:
+    def conv_chain(channels: tuple[int, ...], resample: str) -> list[dict]:
         return [spec for a, b in zip(channels, channels[1:])
-                for spec in [conv(a, b), *norm_relu(b), dict(resample)]]
+                for spec in [conv(a, b), *norm_relu(b), {"kind": resample}]]
 
     def dense_chain(widths: tuple[int, ...]) -> list[dict]:
         return [spec for a, b in zip(widths, widths[1:]) for spec in [dense(a, b), *norm_relu(b)]]
@@ -126,15 +121,13 @@ def layer_table(config: ModelConfig) -> dict[str, list[dict]]:
 
     enc_channels = (1,) + config.conv_channels
     return {
-        "enc_conv": conv_chain(enc_channels, {"kind": "MaxPool1d", "width": config.pool_width})
-        + [conv(enc_channels[-1], 1, 1)],
+        "enc_conv": conv_chain(enc_channels, "MaxPool1d") + [conv(enc_channels[-1], 1, 1)],
         "enc_dense": dense_chain((n,) + config.enc_dense + (latent,)),
         "enc_join": join(["enc_conv", "enc_dense"], 2 * latent),
         "mu_head": [dense(2 * latent, latent)],
         "logvar_head": [dense(2 * latent, latent)],
         "dec_dense": dense_chain((latent,) + config.dec_dense + (n,)),
-        "dec_conv": conv_chain((1,) + config.dec_conv_channels + (1,),
-                               {"kind": "UpsampleNearest1d", "factor": config.up_factor}),
+        "dec_conv": conv_chain((1,) + config.dec_conv_channels + (1,), "UpsampleNearest1d"),
         "dec_join": join(["dec_dense", "dec_conv"], 2 * n),
         "out_head": [dense(2 * n, n)],
     }

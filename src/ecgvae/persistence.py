@@ -269,8 +269,8 @@ def save_model(path, model: VaeModel) -> None:
 
 
 def load_model(path) -> VaeModel:
-    """Check the manifest against its config's layer table and the file's float
-    count, then build the model and copy the tensors into it."""
+    """Check the manifest against its config's layer table before reading a tensor,
+    and the file's float count before building the model; then copy the tensors in."""
     buf = Path(path).read_bytes()
     r = _Reader(_unwrap(buf, MODEL_MAGIC, "model"), "model")
     (version,) = r.unpack("<H")
@@ -280,6 +280,13 @@ def load_model(path) -> VaeModel:
         manifest = json.loads(r.take(blob_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"model: bad manifest JSON: {e}") from e
+    try:
+        config = ModelConfig.from_dict(manifest["model_config"])
+        table = layer_table(config)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"model: bad model_config in manifest: {e}") from e
+    if manifest.get("layers") != table:
+        raise IntegrityError("model: manifest layer table does not match its model_config")
     (n_tensors,) = r.unpack("<I")
     loaded: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -289,14 +296,6 @@ def load_model(path) -> VaeModel:
             raise IntegrityError(f"model: tensor '{name}' appears twice")
         loaded[name] = r.floats(r.shape())
     r.done()
-
-    try:
-        config = ModelConfig.from_dict(manifest["model_config"])
-        table = layer_table(config)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"model: bad model_config in manifest: {e}") from e
-    if manifest.get("layers") != table:
-        raise IntegrityError("model: manifest layer table does not match its model_config")
     n_floats = sum(arr.size for arr in loaded.values())
     if n_floats != table_floats(table):  # checked before the model allocates its tensors
         raise IntegrityError(f"model: file holds {n_floats} floats, its layer table "

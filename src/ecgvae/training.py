@@ -26,6 +26,9 @@ from .optim import Adam
 # weight rebalances the two; see the training tests for the behavior it buys.
 DEFAULT_BETA_KL = 1.5e-4
 
+# share of the cycles held out of training for the per-epoch eval numbers
+EVAL_FRACTION = 0.2
+
 
 @dataclass
 class TrainConfig:
@@ -34,7 +37,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     beta_kl: float = DEFAULT_BETA_KL
-    eval_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -45,8 +47,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.beta_kl < np.inf:
             raise ValueError(f"beta_kl must be non-negative and finite, got {self.beta_kl}")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ValueError("eval_fraction must be in (0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -75,8 +75,9 @@ def train(
 ) -> tuple[VaeModel, list[EpochStats]]:
     """Fit a fresh VAE on `dataset` ([n, 400] cycles) and return it with history.
 
-    The dataset is split once into train/eval parts; per-epoch stats carry the
-    eval numbers so reconstruction progress is measured on unseen cycles.
+    The dataset is split once into train/eval parts, with EVAL_FRACTION of it
+    (at least one cycle) held out; per-epoch stats carry the eval numbers so
+    reconstruction progress is measured on unseen cycles.
     `log`, when given, receives one formatted line per epoch.
     """
     cycles = as_cycle_array(dataset)
@@ -92,9 +93,7 @@ def train(
     model = VaeModel(model_config, rng, dtype=np.float32)
 
     perm = rng.permutation(n)
-    n_eval = max(1, int(round(n * config.eval_fraction)))
-    if n - n_eval < 2:
-        raise DimensionError("train split too small; lower eval_fraction")
+    n_eval = max(1, int(round(n * EVAL_FRACTION)))  # n >= 4 leaves at least 3 to train on
     eval_idx = perm[:n_eval]
     train_idx = perm[n_eval:]
     train_cycles = cycles[train_idx]

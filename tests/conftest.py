@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+
+from ecgvae.model import ModelConfig
+
+# small architecture with the same block pattern; keeps gradient checks and training fast
+COMPACT = ModelConfig(
+    input_len=64, latent_dim=4, conv_channels=(4, 8, 8, 8),
+    enc_dense=(32, 16), dec_dense=(16, 32), dec_conv_channels=(8, 8, 8),
+)
 
 
 def central_diff(build_loss, tensor, flat_index: int) -> float:
@@ -46,6 +56,22 @@ def max_grad_rel_err(build_loss, tensors, n_per_tensor=None, rng=None) -> float:
             rel = abs(fd - an) / max(1e-6, abs(fd), abs(an))
             worst = max(worst, rel)
     return worst
+
+
+def old_format_manifest(blob: bytes) -> bytes:
+    """A checkpoint manifest as written while kernel width, pool width, upsample factor,
+    batch-norm momentum/eps and the eval hold-out were settable: config keys and layer fields."""
+    manifest = json.loads(blob)
+    manifest["model_config"].update(kernel_size=5, pool_width=2, up_factor=2,
+                                    bn_momentum=0.1, bn_eps=1e-5)
+    fields = {"Conv1d": {"stride": 1}, "BatchNorm1d": {"momentum": 0.1, "eps": 1e-5},
+              "MaxPool1d": {"width": 2}, "UpsampleNearest1d": {"factor": 2}}
+    for chain in manifest["layers"].values():
+        for spec in chain:
+            spec.update(fields.get(spec["kind"], {}))
+    if manifest["train_config"] is not None:
+        manifest["train_config"]["eval_fraction"] = 0.2
+    return json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 @pytest.fixture

@@ -13,7 +13,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import COMPACT
+from ecgvae import training
 
 ROOT = Path(__file__).resolve().parents[1]
 for _d in ("perfbench", "benchmarks"):
@@ -95,6 +99,21 @@ def test_calls_bind_to_the_signatures(path):
             bad.append(f"{path}:{node.lineno} {name}({len(node.args)} positional, "
                        f"keywords {sorted(kwargs)}): {e}")
     assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("n", [4, 5, 640, 1908])
+def test_train_split_size_matches_train(n, monkeypatch):
+    # train_cycles_per_s counts workloads.n_train_split(n) cycles per epoch of train()
+    fitted, recon_node = [], training.recon_node
+
+    def recording_recon_node(x, x_hat):
+        fitted.append(x.data.shape[0])
+        return recon_node(x, x_hat)
+
+    monkeypatch.setattr(training, "recon_node", recording_recon_node)
+    cycles = np.random.default_rng(n).standard_normal((n, COMPACT.input_len)).astype(np.float32)
+    training.train(cycles, training.TrainConfig(seed=0, epochs=1, batch_size=n), COMPACT)
+    assert fitted == [workloads.n_train_split(n)]
 
 
 @pytest.mark.parametrize("sub", probe.SUBCOMMANDS)

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import old_format_manifest
 import ecgvae.cli
 import ecgvae.synth
 from ecgvae.cli import _build_parser, _config_keys, _parse, _subparsers, main
@@ -189,6 +190,20 @@ class TestGenerate:
         assert main(["generate", "--model", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "g.ecgc")]) == 2
         assert "appears twice" in capsys.readouterr().err
+
+    def test_checkpoint_of_the_old_format_is_exit_2(self, pipeline, tmp_path, capsys):
+        # its manifest still carries kernel_size, pool_width, up_factor, bn_momentum and bn_eps
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        blob = old_format_manifest(bytes(body[6:6 + blob_len]))
+        body[2:6 + blob_len] = struct.pack("<I", len(blob)) + blob
+        bad = tmp_path / "bad.ecgv"
+        bad.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
+        assert "bad model_config" in capsys.readouterr().err
+        assert not (tmp_path / "g.ecgc").exists()
 
 
 class TestEncode:

@@ -33,7 +33,7 @@ from ecgvae.persistence import (
     save_record,
 )
 
-TINY = ModelConfig(input_len=4, latent_dim=1, conv_channels=(2, 2), kernel_size=3,
+TINY = ModelConfig(input_len=4, latent_dim=1, conv_channels=(2, 2),
                    enc_dense=(3,), dec_dense=(3,), dec_conv_channels=(2,))
 
 FORMATS = {

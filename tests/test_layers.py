@@ -85,7 +85,8 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-2)
 
     def test_running_stats_updated_with_momentum(self):
-        bn = BatchNorm1d(1, momentum=0.1)
+        bn = BatchNorm1d(1)
+        assert bn.momentum == 0.1
         bn(Tensor(np.array([[1.0], [3.0]], dtype=np.float32)), train=True)
         # start (0,1); batch mean 2, var 1 -> mean 0.9*0+0.1*2, var 0.9*1+0.1*1
         np.testing.assert_allclose(bn.running_mean, [0.2], rtol=1e-6)
@@ -148,16 +149,16 @@ class TestBatchNorm:
 
 class TestPoolAndUpsample:
     def test_pool_layer_hand_value(self):
-        out = MaxPool1d(2)(Tensor(np.array([[[1.0, 3.0, 5.0, 2.0]]], dtype=np.float32)))
+        out = MaxPool1d()(Tensor(np.array([[[1.0, 3.0, 5.0, 2.0]]], dtype=np.float32)))
         np.testing.assert_array_equal(out.data, [[[3.0, 5.0]]])
 
     def test_upsample_repeats_each_sample(self):
-        out = UpsampleNearest1d(2)(Tensor(np.array([[[1.0, 2.0]]], dtype=np.float32)))
+        out = UpsampleNearest1d()(Tensor(np.array([[[1.0, 2.0]]], dtype=np.float32)))
         np.testing.assert_array_equal(out.data, [[[1.0, 1.0, 2.0, 2.0]]])
 
     def test_pool_then_upsample_preserves_length(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32))
-        y = UpsampleNearest1d(2)(MaxPool1d(2)(x))
+        y = UpsampleNearest1d()(MaxPool1d()(x))
         assert y.data.shape == x.data.shape
 
 
@@ -191,7 +192,7 @@ class TestSequential:
         c_in = 1
         for c_out in (16, 32, 64, 128):
             layers += [Conv1d(c_in, c_out, 5, rng=rng), BatchNorm1d(c_out), ReLU(),
-                       MaxPool1d(2)]
+                       MaxPool1d()]
             c_in = c_out
         layers.append(Conv1d(c_in, 1, 1, rng=rng))
         seq = Sequential(layers)
@@ -199,11 +200,12 @@ class TestSequential:
         assert out.data.shape == (2, 1, 25)
 
 
-def _stride2_chain(seed: int) -> list:
+def _other_chain(seed: int) -> list:
+    """A chain that is not the model's: 3 input channels, an odd length, k=3 and k=1 convs."""
     rng = np.random.default_rng(seed)
-    return [Conv1d(3, 8, 5, stride=2, rng=rng), BatchNorm1d(8), ReLU(), MaxPool1d(2),
-            Conv1d(8, 4, 3, stride=2, rng=rng), BatchNorm1d(4), ReLU(),
-            UpsampleNearest1d(2), Conv1d(4, 2, 1, rng=rng)]
+    return [Conv1d(3, 8, 5, rng=rng), BatchNorm1d(8), ReLU(), MaxPool1d(),
+            Conv1d(8, 4, 3, rng=rng), BatchNorm1d(4), ReLU(),
+            UpsampleNearest1d(), Conv1d(4, 2, 1, rng=rng)]
 
 
 def _model_chain(name: str, seed: int) -> list:
@@ -238,13 +240,13 @@ class TestChannelMajorChains:
     """Conv chains run channel-major in memory; [B,C,L] is the only layout in shape."""
 
     @pytest.mark.parametrize("chain,in_shape", [
-        ("enc_conv", (6, 1, 400)), ("dec_conv", (6, 1, 25)), ("stride2", (5, 3, 37)),
+        ("enc_conv", (6, 1, 400)), ("dec_conv", (6, 1, 25)), ("other", (5, 3, 37)),
     ])
     @pytest.mark.parametrize("train", [True, False])
     def test_sequential_matches_layer_by_layer_bitwise(self, chain, in_shape, train,
                                                        monkeypatch):
         # oracle: the layers one by one, unfused, with every array forced to C order
-        build = _stride2_chain if chain == "stride2" else (lambda s: _model_chain(chain, s))
+        build = _other_chain if chain == "other" else (lambda s: _model_chain(chain, s))
         rng = np.random.default_rng(5)
         x = rng.standard_normal(in_shape).astype(np.float32)
 
@@ -361,8 +363,8 @@ class TestFusedEval:
         _assert_close(_fused(seq, x), _one_by_one(seq.layers, x))
 
     @pytest.mark.parametrize("batch", [1, 10, 256])
-    def test_stride2_chain_matches_the_layers_one_by_one(self, batch):
-        layers = _stride2_chain(8)
+    def test_other_chain_matches_the_layers_one_by_one(self, batch):
+        layers = _other_chain(8)
         rng = np.random.default_rng(9)
         for _ in range(3):  # move the running statistics off 0 and 1
             Sequential(layers)(Tensor(2.0 * rng.standard_normal((16, 3, 37)).astype(np.float32)
@@ -403,7 +405,7 @@ class TestFusedEval:
             with pytest.raises(DimensionError, match="conv1d: input has 2 channels"):
                 trained.dec_conv(Tensor(np.zeros((2, 2, 25), dtype=np.float32)))
             with pytest.raises(DimensionError, match="pool width 2 exceeds input length 1"):
-                Sequential([MaxPool1d(2)])(Tensor(np.zeros((2, 3, 1), dtype=np.float32)))
+                Sequential([MaxPool1d()])(Tensor(np.zeros((2, 3, 1), dtype=np.float32)))
 
 
 def test_he_uniform_respects_fan_in():

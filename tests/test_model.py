@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import max_grad_rel_err
+from conftest import COMPACT, max_grad_rel_err
 from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
@@ -23,13 +23,6 @@ from ecgvae.model import (
     recon_node,
     layer_table,
     table_floats,
-)
-
-# small architecture with the same block pattern; keeps gradient checks fast
-COMPACT = ModelConfig(
-    input_len=64, latent_dim=4,
-    conv_channels=(4, 8, 8, 8), kernel_size=5,
-    enc_dense=(32, 16), dec_dense=(16, 32), dec_conv_channels=(8, 8, 8),
 )
 
 
@@ -77,20 +70,13 @@ class TestShapeContract:
             ModelConfig(input_len=300)  # 300 != 25 * 2^4
 
     @pytest.mark.parametrize("bad", [4.0, True, 0, -2])
-    @pytest.mark.parametrize("field", ["input_len", "latent_dim", "conv_channels", "kernel_size",
-                                       "enc_dense", "dec_dense", "dec_conv_channels",
-                                       "pool_width", "up_factor"])
+    @pytest.mark.parametrize("field", ["input_len", "latent_dim", "conv_channels",
+                                       "enc_dense", "dec_dense", "dec_conv_channels"])
     def test_config_rejects_sizes_the_layers_reject(self, field, bad):
         sizes = getattr(ModelConfig(), field)
         value = sizes[:-1] + (bad,) if isinstance(sizes, tuple) else bad
         with pytest.raises(ValueError, match=f"{field} must hold ints >= 1"):
             ModelConfig(**{field: value})
-
-    @pytest.mark.parametrize("kwargs", [{"bn_momentum": 0.0}, {"bn_momentum": 1.1},
-                                        {"bn_eps": 0.0}])
-    def test_config_rejects_batch_norm_settings_the_layers_reject(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            ModelConfig(**kwargs)
 
     @pytest.mark.parametrize("config", [ModelConfig(), COMPACT], ids=["default", "compact"])
     def test_table_float_count_equals_built_tensors(self, config):

@@ -10,6 +10,8 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import COMPACT, old_format_manifest
+from ecgvae import persistence
 from ecgvae.data import EcgRecord
 from ecgvae.errors import (
     BadMagicError,
@@ -36,12 +38,6 @@ from ecgvae.persistence import (
     write_r_truth_csv,
 )
 from ecgvae.training import EpochStats
-
-COMPACT = ModelConfig(
-    input_len=64, latent_dim=4,
-    conv_channels=(4, 8, 8, 8), kernel_size=5,
-    enc_dense=(32, 16), dec_dense=(16, 32), dec_conv_channels=(8, 8, 8),
-)
 
 
 def corrupt_byte(path, offset: int) -> None:
@@ -363,12 +359,11 @@ class TestModelCheckpoint:
             load_model(p)
 
     @pytest.mark.parametrize("old,new", [
-        (b'"bn_momentum":0.1', b'"bn_momentum":1.1'),
         (b'"conv_channels":[4,', b'"conv_channels":[0,'),
         (b'"dec_dense":[16,', b'"dec_dense":[ 0,'),
     ])
     def test_config_the_layers_reject_with_valid_crc(self, tmp_path, old, new):
-        # ModelConfig accepts these; the layer constructors do not
+        # sizes the layer constructors reject, refused by ModelConfig before any layer is built
         p = tmp_path / "m.ecgv"
         save_model(p, VaeModel.build(COMPACT, seed=1))
 
@@ -378,6 +373,23 @@ class TestModelCheckpoint:
 
         rewrite_body(p, edit)
         with pytest.raises(FormatError, match="bad model_config"):
+            load_model(p)
+
+    def test_old_format_refused_before_any_tensor_is_read(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ecgv"
+        model = VaeModel.build(COMPACT, seed=1)
+        model.train_config_dict = {"seed": 1, "epochs": 1}
+        save_model(p, model)
+        rewrite_manifest(p, old_format_manifest)
+        assert b'"bn_momentum":0.1' in p.read_bytes()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a tensor was allocated")
+
+        monkeypatch.setattr(persistence._Reader, "floats", unreachable)
+        monkeypatch.setattr(persistence.VaeModel, "build", unreachable)
+        with pytest.raises(FormatError, match="bad model_config.*'(bn_eps|bn_momentum|kernel_size"
+                                              "|pool_width|up_factor)'"):
             load_model(p)
 
     def test_repeated_tensor_name_with_valid_crc(self, tmp_path):

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import COMPACT
 from ecgvae import training
 from ecgvae.errors import DimensionError, NumericsError
-from ecgvae.model import ModelConfig
-from ecgvae.training import TrainConfig, mean_cycle_baseline, train
-
-COMPACT = ModelConfig(
-    input_len=64, latent_dim=4,
-    conv_channels=(4, 8, 8, 8), kernel_size=5,
-    enc_dense=(32, 16), dec_dense=(16, 32), dec_conv_channels=(8, 8, 8),
-)
+from ecgvae.training import EVAL_FRACTION, TrainConfig, mean_cycle_baseline, train
 
 
 def bump_dataset(n: int, length: int = 64, seed: int = 0) -> np.ndarray:
@@ -50,8 +44,9 @@ class TestTrainBasics:
     def test_leftover_single_cycle_batch_is_skipped(self):
         # 11 cycles, eval holds 2, train split of 9 with batch 4 leaves a
         # lone trailing cycle that batch statistics cannot handle
+        assert 11 - round(11 * EVAL_FRACTION) == 9
         data = bump_dataset(11)
-        cfg = TrainConfig(seed=0, epochs=1, batch_size=4, eval_fraction=0.18)
+        cfg = TrainConfig(seed=0, epochs=1, batch_size=4)
         model, history = train(data, cfg, COMPACT)
         assert np.isfinite(history[0].train_recon)
 
@@ -113,8 +108,6 @@ class TestValidation:
         dict(lr=float("inf")),
         dict(beta_kl=float("nan")),
         dict(beta_kl=float("inf")),
-        dict(eval_fraction=0.0),
-        dict(eval_fraction=1.0),
     ])
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
