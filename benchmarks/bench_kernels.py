@@ -1,15 +1,22 @@
 """Time the conv/pool kernels at the model's layer shapes.
 
 Runs every hot kernel through the public [B, C, L] functions in
-ecgvae.kernels and prints a timing table (best of N). A last table times
-the decoder's three upsample->conv pairs at batch 256 both ways: an explicit
-nearest upsampling then conv1d_fwd, against the one polyphase convolution of
-upsample_conv1d_fwd that eval-mode inference runs. The figures differ
-from a training step in two ways. conv1d_bwd unfolds its input into im2col
-columns again, where autodiff keeps the columns from the forward pass. And
-the inputs here are in C order, where inside the model each conv after a
-chain's first reads channel-major memory (the previous conv's output, carried
-through batch norm and pooling). Use --quick for a fast smoke pass.
+ecgvae.kernels and prints a timing table (best of N). Two last tables time
+the decoder's three upsample->conv pairs both ways: an explicit nearest
+upsampling then the conv kernels, against the one polyphase convolution
+that the model runs. The first is the forward alone at batch 256, as
+eval-mode inference runs it (upsample_conv1d_fwd); the second is forward
+plus backward at the training batch (upsample_conv1d_fwd and
+upsample_conv1d_bwd, against conv1d_fwd and conv1d_bwd on the upsampled
+input plus upsample1d's backward, the sum over the phases). The figures
+differ from a training step in two ways. The backward kernels unfold their
+input into im2col columns again, where autodiff keeps the columns from the
+forward pass. And the inputs here are in C order, where inside the model
+each conv after a chain's first reads channel-major memory (the previous
+conv's output, carried through batch norm and pooling). Each rep keeps the
+previous rep's result alive until it returns, as a training step keeps its
+activations, so a rep does not page-fault freshly mapped buffers. Use
+--quick for a fast smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """
@@ -52,11 +59,11 @@ POOL_WIDTH = 2
 
 
 def best_ms(fn, reps: int) -> float:
-    fn()  # warm caches before timing
+    out = fn()  # warm caches before timing
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        fn()
+        out = fn()  # the previous result stays alive until this one is made
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
 
@@ -97,14 +104,44 @@ def bench_upconv(batch: int, reps: int) -> list[tuple[str, float, float]]:
     return rows
 
 
+def upsampled_conv_step(x, w, dy):
+    """Forward and backward of an explicit upsampling and the conv after it."""
+    u = kernels.upsample1d(x, UP_FACTOR)
+    y = kernels.conv1d_fwd(u, w)
+    du, dw = kernels.conv1d_bwd(u, w, 1, dy)
+    dx = du[:, :, 0::UP_FACTOR].copy()
+    for r in range(1, UP_FACTOR):
+        dx += du[:, :, r::UP_FACTOR]
+    return y, dx, dw
+
+
+def polyphase_conv_step(x, w, dy):
+    """Forward and backward of the same pair as one polyphase convolution."""
+    return (kernels.upsample_conv1d_fwd(x, w, UP_FACTOR),
+            *kernels.upsample_conv1d_bwd(x, w, UP_FACTOR, dy))
+
+
+def bench_upconv_train(batch: int, reps: int) -> list[tuple[str, float, float]]:
+    rng = np.random.default_rng(3)
+    rows = []
+    for label, ci, co, length in UPCONV_SHAPES:
+        x = rng.standard_normal((batch, ci, length)).astype(np.float32)
+        w = rng.standard_normal((co, ci, KERNEL_WIDTH)).astype(np.float32)
+        dy = rng.standard_normal((batch, co, UP_FACTOR * length)).astype(np.float32)
+        rows.append((label.replace("dec", "train", 1),
+                     best_ms(lambda: upsampled_conv_step(x, w, dy), reps),
+                     best_ms(lambda: polyphase_conv_step(x, w, dy), reps)))
+    return rows
+
+
 def print_table(title: str, rows, cols: tuple[str, str] = ("fwd", "bwd")) -> None:
     print(f"\n{title}")
-    head = f"{'layer':<26}{cols[0]:>16}{cols[1]:>12}"
+    head = f"{'layer':<28}{cols[0]:>16}{cols[1]:>12}"
     print(head)
     print("-" * len(head))
     for label, a, b in rows:
-        print(f"{label:<26}{a:>14.3f}ms{b:>10.3f}ms")
-    print(f"{'total':<26}{sum(r[1] for r in rows):>14.3f}ms{sum(r[2] for r in rows):>10.3f}ms")
+        print(f"{label:<28}{a:>14.3f}ms{b:>10.3f}ms")
+    print(f"{'total':<28}{sum(r[1] for r in rows):>14.3f}ms{sum(r[2] for r in rows):>10.3f}ms")
 
 
 def main() -> None:
@@ -122,6 +159,9 @@ def main() -> None:
     up_batch = batch if args.quick else UPCONV_BATCH
     print_table(f"upsample x{UP_FACTOR} -> conv1d (K={KERNEL_WIDTH}, batch {up_batch})",
                 bench_upconv(up_batch, reps), cols=("upsample+conv", "polyphase"))
+    print_table(f"upsample x{UP_FACTOR} -> conv1d forward + backward (K={KERNEL_WIDTH}, "
+                f"batch {batch})", bench_upconv_train(batch, reps),
+                cols=("upsample+conv", "polyphase"))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,12 @@ are the sums of the w[k] that share an offset (r + k - p) // f. The f phases
 stack into one [f*Co, Ci, K'] weight: one im2col, one matmul, then an
 interleave into y[..., r::f]. The padding is exact, since i lies in [0, f*L)
 if and only if i // f lies in [0, L). For f = 2 and K = 5 that is K' = 3:
-60% of the multiplies and 30% of the column bytes of the plain path.
+60% of the multiplies and 30% of the column bytes of the plain path. The
+backward pass (upsample_conv1d_bwd) gathers dy[..., r::f] into the same
+[f*Co, B, L] phase stack, runs the plain conv backward on x's columns with
+the phase weights, and folds the phase-weight gradient back onto w with the
+transpose of polyphase_weight. The interleave and the gather are one view,
+_phases, and the tap map one list, _phase_taps, shared by both directions.
 
 Max pooling is a running max over the `width` strided slices of each window;
 maxpool1d_fwd then marks, for each window, the first slice equal to that max
@@ -118,6 +123,14 @@ def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1,
     return conv1d_cols(cols, w, x.shape[0], bias).swapaxes(0, 1)
 
 
+def _phase_taps(k: int, factor: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """K' and the (phase r, tap k, phase tap) triples of polyphase_weight, in its summing order."""
+    pad = (k - 1) // 2
+    q = -(-pad // factor)
+    return 2 * q + 1, [(r, kk, (r + kk - pad) // factor + q)
+                       for r in range(factor) for kk in range(k)]
+
+
 def polyphase_weight(w: np.ndarray, factor: int) -> np.ndarray:
     """The [factor*Co, Ci, K'] phase weights of w [Co,Ci,K] behind an upsampling by `factor`.
 
@@ -125,29 +138,71 @@ def polyphase_weight(w: np.ndarray, factor: int) -> np.ndarray:
     in increasing k, where p = (K - 1) // 2 and q = ceil(p / factor).
     """
     co, ci, k = w.shape
-    pad = (k - 1) // 2
-    q = -(-pad // factor)
-    wp = np.zeros((factor, co, ci, 2 * q + 1), dtype=w.dtype)
-    for r in range(factor):
-        for kk in range(k):
-            wp[r, :, :, (r + kk - pad) // factor + q] += w[:, :, kk]
-    return wp.reshape(factor * co, ci, 2 * q + 1)
+    taps, triples = _phase_taps(k, factor)
+    wp = np.zeros((factor, co, ci, taps), dtype=w.dtype)
+    for r, kk, d in triples:
+        wp[r, :, :, d] += w[:, :, kk]
+    return wp.reshape(factor * co, ci, taps)
+
+
+def polyphase_weight_bwd(dwp: np.ndarray, factor: int, k: int) -> np.ndarray:
+    """Gradient [Co,Ci,K] of w from that of its phase weights dwp [factor*Co,Ci,K']: the
+    transpose of polyphase_weight, tap k summing the phase taps it fed, in increasing r."""
+    fco, ci, taps = dwp.shape
+    parts = dwp.reshape(factor, fco // factor, ci, taps)
+    dw = np.zeros((fco // factor, ci, k), dtype=dwp.dtype)
+    for r, kk, d in _phase_taps(k, factor)[1]:
+        dw[:, :, kk] += parts[r, :, :, d]
+    return dw
+
+
+def _phases(a: np.ndarray, factor: int) -> np.ndarray:
+    """a [N0,N1,factor*L] as the [factor,N0,N1,L] view whose entry r is a[:, :, r::factor]."""
+    n0, n1, n = a.shape
+    return a.reshape(n0, n1, n // factor, factor).transpose(3, 0, 1, 2)
+
+
+def upsample_conv1d_cols(cols: np.ndarray, wp: np.ndarray, batch: int, factor: int,
+                         bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Output [Co,B,factor*L] of the upsampled convolution from the im2col columns of x and
+    the phase weights wp = polyphase_weight(w, factor), plus an optional bias [Co]."""
+    phases = conv1d_cols(cols, wp, batch, None if bias is None else np.tile(bias, factor))
+    co = wp.shape[0] // factor
+    y = np.empty((co, batch, factor * phases.shape[2]), dtype=phases.dtype)
+    # one strided copy per phase: assigning through the whole [f,Co,B,L] view is ~7x slower
+    for part, phase in zip(_phases(y, factor), phases.reshape(factor, co, batch, -1)):
+        part[...] = phase
+    return y
+
+
+def upsample_conv1d_cols_bwd(cols: np.ndarray, wp: np.ndarray, dy: np.ndarray, length: int,
+                             factor: int, k: int,
+                             need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(dx [Ci,B,L] or None, dw [Co,Ci,k]) of upsample_conv1d_cols given upstream dy [Co,B,f*L]."""
+    dyp = np.ascontiguousarray(_phases(dy, factor)).reshape(wp.shape[0], dy.shape[1], length)
+    dx, dwp = conv1d_cols_bwd(cols, wp, dyp, length, 1, need_dx)
+    return dx, polyphase_weight_bwd(dwp, factor, k)
 
 
 def upsample_conv1d_fwd(x: np.ndarray, w: np.ndarray, factor: int,
                         bias: Optional[np.ndarray] = None) -> np.ndarray:
     """conv1d_fwd(upsample1d(x, factor), w, 1, bias) -> [B,Co,factor*L], as one polyphase
     convolution of x [B,Ci,L] that never forms the upsampled input."""
-    co = w.shape[0]
     wp = polyphase_weight(w, factor)
     xs = x.swapaxes(0, 1)
-    batch, length = xs.shape[1], xs.shape[2]
-    phases = conv1d_cols(im2col(xs, wp.shape[2], 1), wp, batch,
-                         None if bias is None else np.tile(bias, factor))
-    y = np.empty((co, batch, factor * length), dtype=phases.dtype)
-    for r in range(factor):
-        y[:, :, r::factor] = phases[r * co:(r + 1) * co]
-    return y.swapaxes(0, 1)
+    cols = im2col(xs, wp.shape[2], 1)
+    return upsample_conv1d_cols(cols, wp, xs.shape[1], factor, bias).swapaxes(0, 1)
+
+
+def upsample_conv1d_bwd(x: np.ndarray, w: np.ndarray, factor: int,
+                        dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dx, dw) of upsample_conv1d_fwd given upstream dy [B,Co,factor*L]."""
+    wp = polyphase_weight(w, factor)
+    xs = x.swapaxes(0, 1)
+    cols = im2col(xs, wp.shape[2], 1)
+    dx, dw = upsample_conv1d_cols_bwd(cols, wp, dy.swapaxes(0, 1), xs.shape[2], factor,
+                                      w.shape[2])
+    return dx.swapaxes(0, 1), dw
 
 
 def conv1d_bwd(x: np.ndarray, w: np.ndarray, stride: int,

@@ -8,8 +8,11 @@ UpsampleNearest1d's factor 2. Conv1d runs with stride 1.
 BatchNorm1d is one autodiff op; it normalizes with the population variance
 (divide by N) and keeps float32 running statistics updated only on
 train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
-as that one op with the ReLU fused in; the layer list, and with it the
-checkpoint layout, stays as written.
+as that one op with the ReLU fused in, and an UpsampleNearest1d directly
+followed by a Conv1d as one polyphase convolution (ad.upsample_conv1d), so
+training never forms the upsampled activation; an upsampling with no conv
+after it stays ad.upsample1d. The layer list, and with it the checkpoint
+layout, stays as written.
 
 Every layer takes and gives [B, C, L] (or [B, F]). A conv chain runs
 channel-major in memory: Conv1d's output is a [B, C, L] view of [C, B, L]
@@ -21,7 +24,8 @@ BatchNorm1d after it is one affine map, w' = w * s and b' = (b - mean) * s +
 beta with s = gamma / sqrt(var + eps) computed as batch_norm computes it;
 the fold is redone on every call, so no weight is cached. A ReLU after it
 runs in place. An UpsampleNearest1d before a Conv1d runs with it as
-one polyphase convolution (kernels.upsample_conv1d_fwd). Only the chain's
+one polyphase convolution (kernels.upsample_conv1d_fwd), paired by the same
+rule (_upsample_conv) as on the per-op path. Only the chain's
 output is checked for NaN/Inf. If it is not finite, or if an input does not
 fit a layer, the chain runs again op by op, which returns its result or
 raises the error that names the op. The fused result matches the per-op one
@@ -187,14 +191,17 @@ class Sequential(Layer):
             y = self._fused_eval(x.data)
             if y is not None:
                 return Tensor(y, op="sequential")
-        fused = False
-        for layer, nxt in zip(self.layers, self.layers[1:] + [None]):
-            if fused:  # this ReLU already ran inside the preceding batch norm
-                fused = False
-                continue
-            fused = isinstance(layer, BatchNorm1d) and isinstance(nxt, ReLU)
-            if isinstance(layer, BatchNorm1d):
-                x = layer.forward(x, train=train, relu=fused)
+        layers, i = self.layers + [None], 0  # None: no layer after the last
+        while i < len(self.layers):
+            layer, nxt = layers[i], layers[i + 1]
+            i += 1
+            if _upsample_conv(layer, nxt):
+                x = ad.upsample_conv1d(x, nxt.weight, nxt.bias, layer.factor)
+                i += 1
+            elif isinstance(layer, BatchNorm1d):
+                relu = isinstance(nxt, ReLU)  # that ReLU runs inside the batch norm
+                x = layer.forward(x, train=train, relu=relu)
+                i += relu
             else:
                 x = layer(x, train=train)
         return x
@@ -214,8 +221,7 @@ class Sequential(Layer):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while i < len(self.layers):
                 layer, i = layers[i], i + 1
-                upsample = (isinstance(layer, UpsampleNearest1d)
-                            and isinstance(layers[i], Conv1d) and x.ndim == 3)
+                upsample = _upsample_conv(layer, layers[i])
                 if upsample:
                     layer, i = layers[i], i + 1
                 if not _takes(layer, x):
@@ -260,6 +266,11 @@ class Sequential(Layer):
         for i, layer in enumerate(self.layers):
             out.extend(layer.named_state(f"{prefix}{i:02d}."))
         return out
+
+
+def _upsample_conv(layer: Layer, nxt: Optional[Layer]) -> bool:
+    """Whether `layer` and the one after it run as one polyphase upsample->conv op."""
+    return isinstance(layer, UpsampleNearest1d) and isinstance(nxt, Conv1d)
 
 
 def _takes(layer: Layer, x: np.ndarray) -> bool:

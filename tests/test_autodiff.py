@@ -112,6 +112,17 @@ class TestOpGradients:
 
         assert max_grad_rel_err(loss, [x]) < TOL
 
+    @pytest.mark.parametrize("factor,k", [(2, 5), (3, 3), (2, 1)])
+    def test_upsample_conv1d(self, factor, k, rng):
+        x = leaf(rng, (2, 3, 6))
+        w = leaf(rng, (4, 3, k))
+        b = leaf(rng, (4,))
+
+        def loss():
+            return ad.reduce_sum(ad.square(ad.upsample_conv1d(x, w, b, factor)))
+
+        assert max_grad_rel_err(loss, [x, w, b]) < TOL
+
     def test_concat_and_reshape(self, rng):
         a = leaf(rng, (3, 4))
         b = leaf(rng, (3, 2))
@@ -241,6 +252,15 @@ class TestShapeErrors:
         w = Tensor(rng.standard_normal((1, 1, 4)))
         with pytest.raises(ValueError):
             ad.conv1d(x, w, Tensor(np.zeros(1)))
+
+    def test_upsample_conv_checks_like_conv(self, rng):
+        x = Tensor(rng.standard_normal((1, 3, 8)))
+        with pytest.raises(DimensionError, match="upsample_conv1d: input has 3 channels"):
+            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 4, 3))), Tensor(np.zeros(2)), 2)
+        with pytest.raises(ValueError, match="kernel width must be odd"):
+            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.zeros(2)), 2)
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 3, 3))), Tensor(np.zeros(2)), 0)
 
     def test_pool_wider_than_input(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4)))

@@ -187,6 +187,30 @@ class TestUpsampleConvOracle:
             np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
             np.testing.assert_allclose(got, plain, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("memory", ["C", "channel-major"])
+    @pytest.mark.parametrize("length", [1, 2, 7, 25])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_bwd_matches_upsampled_conv_bwd_and_phase_sum(self, factor, k, length, memory,
+                                                          rng):
+        x = rng.standard_normal((2, 3, length))
+        w = rng.standard_normal((4, 3, k))
+        dy = rng.standard_normal((2, 4, factor * length))
+        if memory == "channel-major":
+            x, dy = channel_major(x), channel_major(dy)
+        # oracle in float64: conv1d_bwd on the explicitly upsampled input, then
+        # upsample1d's backward, the sum of the factor phases of du
+        du, dw_ref = kernels.conv1d_bwd(kernels.upsample1d(x, factor), w, 1, dy)
+        dx_ref = sum(du[:, :, r::factor] for r in range(factor))
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            dx, dw = kernels.upsample_conv1d_bwd(x.astype(dtype), w.astype(dtype), factor,
+                                                 dy.astype(dtype))
+            assert dx.dtype == dw.dtype == dtype
+            assert dx.shape == x.shape and dw.shape == w.shape
+            assert dx.swapaxes(0, 1).flags.c_contiguous
+            for got, ref in ((dx, dx_ref), (dw, dw_ref)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=rtol * np.abs(ref).max())
+
     @pytest.mark.parametrize("factor,k,taps", [(1, 5, 5), (2, 5, 3), (3, 5, 3), (2, 7, 5),
                                                (3, 7, 3), (2, 1, 1), (4, 3, 3)])
     def test_phase_weights_have_2_ceil_p_over_f_plus_1_taps(self, factor, k, taps, rng):
@@ -282,5 +306,5 @@ def test_kernel_benchmark_quick_run():
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     for label in ("enc conv1  1->16 L400", "dec conv4 16->1 L200", "enc pool4 128ch L50",
-                  "dec up4+conv4 16->1 L100"):
+                  "dec up4+conv4 16->1 L100", "train up4+conv4 16->1 L100"):
         assert label in res.stdout

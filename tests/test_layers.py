@@ -245,7 +245,9 @@ class TestChannelMajorChains:
     @pytest.mark.parametrize("train", [True, False])
     def test_sequential_matches_layer_by_layer_bitwise(self, chain, in_shape, train,
                                                        monkeypatch):
-        # oracle: the layers one by one, unfused, with every array forced to C order
+        # oracle: the layers one by one, with every array forced to C order; only an
+        # upsampling and the conv after it run as their one op (its own oracle is in
+        # test_kernels), and batch norm and ReLU stay apart
         build = _other_chain if chain == "other" else (lambda s: _model_chain(chain, s))
         rng = np.random.default_rng(5)
         x = rng.standard_normal(in_shape).astype(np.float32)
@@ -261,8 +263,15 @@ class TestChannelMajorChains:
 
         def one_by_one(layers):
             def forward(xt):
-                for layer in layers:
-                    xt = layer(xt, train=train)
+                i = 0
+                while i < len(layers):
+                    layer, nxt = layers[i], (layers + [None])[i + 1]
+                    if isinstance(layer, UpsampleNearest1d) and isinstance(nxt, Conv1d):
+                        xt = ad.upsample_conv1d(xt, nxt.weight, nxt.bias, layer.factor)
+                        i += 2
+                    else:
+                        xt = layer(xt, train=train)
+                        i += 1
                 return xt
             return forward
 
@@ -299,6 +308,17 @@ class TestChannelMajorChains:
                         f"{t.op} {t.data.shape} {what} fell back from channel-major"
                 checked += 1
             assert checked >= 6
+
+    def test_train_tape_runs_each_upsample_conv_pair_as_one_op(self):
+        seq = VaeModel.build(seed=3).dec_conv
+        x = np.random.default_rng(8).standard_normal((4, 1, 25)).astype(np.float32)
+        nodes = _tape(seq(Tensor(x, requires_grad=True), train=True))
+        ops = [t.op for t in nodes]
+        assert ops.count("upsample_conv1d") == 3
+        # the chain's last upsampling has no conv after it and stays its own op
+        assert ops.count("upsample1d") == 1 and nodes[0].op == "upsample1d"
+        fed = {id(p) for t in nodes if t.op in ("conv1d", "upsample_conv1d") for p in t._parents}
+        assert not any(t.op == "upsample1d" and id(t) in fed for t in nodes)
 
     def test_tape_off_pool_matches_and_builds_no_route(self, rng, monkeypatch):
         x = Tensor(rng.standard_normal((3, 4, 21)).astype(np.float32), requires_grad=True)
