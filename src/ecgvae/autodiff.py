@@ -189,8 +189,7 @@ def recording(on: bool):
     """Record the tape inside the block only if `on`; an outer off still wins.
 
     Off, each op's backward closure and what it holds (im2col columns, ReLU
-    masks) are dropped as soon as the op returns, and max pooling builds no
-    route at all.
+    masks, max pooling's route) are dropped as soon as the op returns.
     """
     token = _recording.set(is_recording() and on)
     try:
@@ -199,16 +198,11 @@ def recording(on: bool):
         _recording.reset(token)
 
 
-def _records(parents: Sequence[Tensor]) -> bool:
-    """Whether an op on `parents` goes on the tape, so its backward-only state is needed."""
-    return is_recording() and any(p.requires_grad for p in parents)
-
-
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd, op: str,
           check: bool = True) -> Tensor:
     if check:
         _check_finite(data, op)
-    if _records(parents):
+    if is_recording() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=bwd, op=op)
     return Tensor(data, op=op)
 
@@ -355,17 +349,48 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear / convolutional ops
+# linear / convolutional ops. Each layer op's input rule is one function on
+# arrays, which the op and the fused eval pass (layers.Sequential) both call.
+
+
+def check_dense(x: np.ndarray, w: np.ndarray) -> None:
+    if x.ndim != 2:
+        raise DimensionError(f"dense expects rank-2 input, got shape {x.shape}")
+    if w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise DimensionError(f"dense: input width {x.shape} does not match weight {w.shape}")
+
+
+def check_conv(x: np.ndarray, w: np.ndarray, op: str) -> None:
+    if x.ndim != 3:
+        raise DimensionError(f"{op} expects rank-3 input, got shape {x.shape}")
+    if w.ndim != 3:
+        raise DimensionError(f"{op} weight must be rank-3, got {w.shape}")
+    if w.shape[2] % 2 != 1:
+        raise ValueError(f"{op} kernel width must be odd, got {w.shape[2]}")
+    if x.shape[1] != w.shape[1]:
+        raise DimensionError(f"{op}: input has {x.shape[1]} channels, "
+                             f"weight expects {w.shape[1]}")
+
+
+def check_pool(x: np.ndarray, width: int) -> None:
+    if x.ndim != 3:
+        raise DimensionError(f"maxpool1d expects rank-3 input, got shape {x.shape}")
+    if width < 1:
+        raise ValueError(f"pool width must be >= 1, got {width}")
+    if width > x.shape[2]:
+        raise DimensionError(f"pool width {width} exceeds input length {x.shape[2]}")
+
+
+def check_upsample(x: np.ndarray, factor: int) -> None:
+    if x.ndim != 3:
+        raise DimensionError(f"upsample1d expects rank-3 input, got shape {x.shape}")
+    if factor < 1:
+        raise ValueError(f"upsample factor must be >= 1, got {factor}")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map y = x @ w.T + b with x [B,n], w [m,n], b [m]."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"dense expects rank-2 input, got shape {x.data.shape}")
-    if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise DimensionError(
-            f"dense: input width {x.data.shape} does not match weight {w.data.shape}"
-        )
+    check_dense(x.data, w.data)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -376,18 +401,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g.sum(axis=0))
 
     return _node(x.data @ w.data.T + b.data, (x, w, b), bwd, "dense")
-
-
-def _check_conv(x: Tensor, w: Tensor, op: str) -> None:
-    if x.data.ndim != 3:
-        raise DimensionError(f"{op} expects rank-3 input, got shape {x.data.shape}")
-    if w.data.ndim != 3:
-        raise DimensionError(f"{op} weight must be rank-3, got {w.data.shape}")
-    if w.data.shape[2] % 2 != 1:
-        raise ValueError(f"{op} kernel width must be odd, got {w.data.shape[2]}")
-    if x.data.shape[1] != w.data.shape[1]:
-        raise DimensionError(f"{op}: input has {x.data.shape[1]} channels, "
-                             f"weight expects {w.data.shape[1]}")
 
 
 def _accumulate_conv(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray,
@@ -406,7 +419,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     The output is a [B,C,L] view of channel-major [C,B,L] memory.
     """
-    _check_conv(x, w, "conv1d")
+    check_conv(x.data, w.data, "conv1d")
     if stride < 1:
         raise ValueError(f"conv1d stride must be >= 1, got {stride}")
     # the kernels take [C,B,L]; swapping axes 0 and 1 (a view) maps [B,C,L] there and back
@@ -429,9 +442,8 @@ def upsample_conv1d(x: Tensor, w: Tensor, b: Tensor, factor: int) -> Tensor:
     are those of x with K' = 2*ceil(((K-1)//2) / factor) + 1 taps. The output is a
     [B,C,factor*L] view of channel-major [C,B,factor*L] memory.
     """
-    _check_conv(x, w, "upsample_conv1d")
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
+    check_conv(x.data, w.data, "upsample_conv1d")
+    check_upsample(x.data, factor)
     xd = x.data.swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
         wp = kernels.polyphase_weight(w.data, factor)
@@ -448,16 +460,7 @@ def upsample_conv1d(x: Tensor, w: Tensor, b: Tensor, factor: int) -> Tensor:
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
     """Non-overlapping max pool along the last axis of [B,C,L]."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"maxpool1d expects rank-3 input, got shape {x.data.shape}")
-    if width < 1:
-        raise ValueError(f"pool width must be >= 1, got {width}")
-    if width > x.data.shape[2]:
-        raise DimensionError(
-            f"pool width {width} exceeds input length {x.data.shape[2]}"
-        )
-    if not _records((x,)):  # no backward pass, so no route to it
-        return _node(kernels.maxpool1d(x.data, width), (x,), None, "maxpool1d")
+    check_pool(x.data, width)
     y, route = kernels.maxpool1d_fwd(x.data, width)
     length = x.data.shape[2]
 
@@ -470,10 +473,7 @@ def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
 
 def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
     """Nearest-neighbor repeat along the last axis of [B,C,L], in x's memory order."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"upsample1d expects rank-3 input, got shape {x.data.shape}")
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
+    check_upsample(x.data, factor)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -7,29 +7,31 @@ constants: BatchNorm1d's momentum 0.1 and eps 1e-5, MaxPool1d's width 2 and
 UpsampleNearest1d's factor 2. Conv1d runs with stride 1.
 BatchNorm1d is one autodiff op; it normalizes with the population variance
 (divide by N) and keeps float32 running statistics updated only on
-train-mode calls. Sequential runs a BatchNorm1d directly followed by a ReLU
-as that one op with the ReLU fused in, and an UpsampleNearest1d directly
-followed by a Conv1d as one polyphase convolution (ad.upsample_conv1d), so
-training never forms the upsampled activation; an upsampling with no conv
-after it stays ad.upsample1d. The layer list, and with it the checkpoint
-layout, stays as written.
+train-mode calls.
 
 Every layer takes and gives [B, C, L] (or [B, F]). A conv chain runs
 channel-major in memory: Conv1d's output is a [B, C, L] view of [C, B, L]
 memory, and the layers after it keep that memory order.
 
-In eval mode with the tape off (model.encode/decode), Sequential runs its
-chain as one numpy pass instead of op by op. Each Conv1d or Dense with a
-BatchNorm1d after it is one affine map, w' = w * s and b' = (b - mean) * s +
-beta with s = gamma / sqrt(var + eps) computed as batch_norm computes it;
-the fold is redone on every call, so no weight is cached. A ReLU after it
-runs in place. An UpsampleNearest1d before a Conv1d runs with it as
-one polyphase convolution (kernels.upsample_conv1d_fwd), paired by the same
-rule (_upsample_conv) as on the per-op path. Only the chain's
-output is checked for NaN/Inf. If it is not finite, or if an input does not
-fit a layer, the chain runs again op by op, which returns its result or
-raises the error that names the op. The fused result matches the per-op one
-to about 1e-6 relative; the parameters and the tape-on path do not change.
+Sequential reads its layer list once, at construction, into steps (up,
+layer, norm, relu): a Conv1d or Dense with the BatchNorm1d of its width
+after it and a ReLU after that, and an UpsampleNearest1d right before a
+Conv1d as that conv's up. Any other layer is a step of its own, and a batch
+norm or ReLU with no conv or dense before it is a step with no layer. The
+layer list, and with it the checkpoint layout, stays as written. Op by op
+(training, or the tape on), an up runs with its conv as one polyphase
+convolution (ad.upsample_conv1d), so training never forms the upsampled
+activation, and a norm as one batch_norm op with its ReLU fused in. In eval
+mode with the tape off (model.encode/decode), the steps run as one numpy
+pass: each norm folds into its conv or dense, w' = w * s and
+b' = (b - mean) * s + beta with s = gamma / sqrt(var + eps) as batch_norm
+computes it (refolded on every call, so no weight is cached), the ReLU runs
+in place, and each layer checks its input by its op's own rule
+(ad.check_*), so a refused input raises the op's error. Only the chain's
+output is checked for NaN/Inf. A non-finite output, a step with no layer or
+a parameter dtype other than the input's runs the chain op by op instead,
+which returns its result or raises the error that names the op. The fused
+result matches the per-op one to about 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -180,77 +182,66 @@ class Sequential(Layer):
     """Applies layers in order, threading the train flag through.
 
     In eval mode with the tape off the chain runs as one fused numpy pass
-    (see the module docstring); otherwise each layer runs as its op.
+    (see the module docstring); otherwise each step runs as its ops.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        self.steps = _steps(self.layers)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         if not train and not ad.is_recording():
             y = self._fused_eval(x.data)
             if y is not None:
                 return Tensor(y, op="sequential")
-        layers, i = self.layers + [None], 0  # None: no layer after the last
-        while i < len(self.layers):
-            layer, nxt = layers[i], layers[i + 1]
-            i += 1
-            if _upsample_conv(layer, nxt):
-                x = ad.upsample_conv1d(x, nxt.weight, nxt.bias, layer.factor)
-                i += 1
-            elif isinstance(layer, BatchNorm1d):
-                relu = isinstance(nxt, ReLU)  # that ReLU runs inside the batch norm
-                x = layer.forward(x, train=train, relu=relu)
-                i += relu
-            else:
+        for up, layer, norm, relu in self.steps:
+            if up is not None:
+                x = ad.upsample_conv1d(x, layer.weight, layer.bias, up.factor)
+            elif layer is not None:
                 x = layer(x, train=train)
+            if norm is not None:
+                x = norm.forward(x, train=train, relu=relu is not None)
+            elif relu is not None:
+                x = ad.relu(x)
         return x
 
     def _fused_eval(self, x: np.ndarray) -> Optional[np.ndarray]:
         """The eval-mode chain on x as one numpy pass; None where the per-op path must run.
 
-        That is a chain with a batch norm or ReLU that no conv or dense comes
-        before, an input some layer would refuse or a dtype that differs from
-        a parameter's (the per-op path raises the DimensionError, or mixes
-        dtypes as its ops do), or a non-finite output (it raises the
-        NumericsError naming the op, or returns a finite result).
+        That is a step with no layer, a parameter dtype that differs from x's
+        (the per-op path mixes dtypes as its ops do), or a non-finite output
+        (the per-op path raises the NumericsError naming the op, or returns a
+        finite result).
         """
         if any(p.data.dtype != x.dtype for _, p in self.named_parameters()):
             return None
-        layers, i = self.layers + [None], 0  # None: no layer after the last
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while i < len(self.layers):
-                layer, i = layers[i], i + 1
-                upsample = _upsample_conv(layer, layers[i])
-                if upsample:
-                    layer, i = layers[i], i + 1
-                if not _takes(layer, x):
+            for up, layer, norm, relu in self.steps:
+                if layer is None:
                     return None
-                if isinstance(layer, (Dense, Conv1d)):
+                if isinstance(layer, MaxPool1d):
+                    ad.check_pool(x, layer.width)
+                    x = kernels.maxpool1d(x, layer.width)
+                elif isinstance(layer, UpsampleNearest1d):
+                    ad.check_upsample(x, layer.factor)
+                    x = kernels.upsample1d(x, layer.factor)
+                else:
                     w, b = layer.weight.data, layer.bias.data
-                    norm = layers[i]
-                    if isinstance(norm, BatchNorm1d):
-                        if norm.gamma.data.shape[0] != w.shape[0]:
-                            return None
+                    if norm is not None:
                         scale, mean = norm.eval_scale(x.dtype)
                         w = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
                         b = (b - mean) * scale + norm.beta.data
-                        i += 1
                     if isinstance(layer, Dense):
+                        ad.check_dense(x, w)
                         x = x @ w.T + b
-                    elif upsample:
-                        x = kernels.upsample_conv1d_fwd(x, w, UpsampleNearest1d.factor, b)
+                    elif up is not None:
+                        ad.check_conv(x, w, "upsample_conv1d")
+                        x = kernels.upsample_conv1d_fwd(x, w, up.factor, b)
                     else:
+                        ad.check_conv(x, w, "conv1d")
                         x = kernels.conv1d_fwd(x, w, bias=b)
-                    if isinstance(layers[i], ReLU):
+                    if relu is not None:
                         x *= x > 0  # like batch_norm's fused ReLU: -inf becomes NaN, not 0
-                        i += 1
-                elif isinstance(layer, MaxPool1d):
-                    x = kernels.maxpool1d(x, layer.width)
-                elif isinstance(layer, UpsampleNearest1d):
-                    x = kernels.upsample1d(x, layer.factor)
-                else:  # a batch norm or ReLU with no conv or dense before it
-                    return None
             if not np.isfinite(x).all():
                 return None
         return x
@@ -268,19 +259,21 @@ class Sequential(Layer):
         return out
 
 
-def _upsample_conv(layer: Layer, nxt: Optional[Layer]) -> bool:
-    """Whether `layer` and the one after it run as one polyphase upsample->conv op."""
-    return isinstance(layer, UpsampleNearest1d) and isinstance(nxt, Conv1d)
+def _steps(layers: list[Layer]) -> list[tuple]:
+    """The chain's (up, layer, norm, relu) steps, as the module docstring describes them."""
+    steps, rest = [], list(layers)
 
+    def take(kind, fits=lambda _: True) -> Optional[Layer]:
+        return rest.pop(0) if rest and isinstance(rest[0], kind) and fits(rest[0]) else None
 
-def _takes(layer: Layer, x: np.ndarray) -> bool:
-    """Whether `layer`'s op accepts x's rank and width, as its per-op checks would."""
-    if isinstance(layer, Dense):
-        return x.ndim == 2 and x.shape[1] == layer.weight.data.shape[1]
-    if isinstance(layer, Conv1d):
-        return x.ndim == 3 and x.shape[1] == layer.weight.data.shape[1]
-    if isinstance(layer, MaxPool1d):
-        return x.ndim == 3 and layer.width <= x.shape[2]
-    if isinstance(layer, UpsampleNearest1d):
-        return x.ndim == 3
-    return True
+    while rest:
+        up = take(UpsampleNearest1d, lambda _: len(rest) > 1 and isinstance(rest[1], Conv1d))
+        layer = None if isinstance(rest[0], (BatchNorm1d, ReLU)) else rest.pop(0)
+        norm = relu = None
+        if layer is None or isinstance(layer, (Conv1d, Dense)):
+            # a batch norm of another width stays apart, for batch_norm to refuse op by op
+            norm = take(BatchNorm1d, lambda bn: layer is None
+                        or bn.gamma.data.shape[0] == layer.weight.data.shape[0])
+            relu = take(ReLU)
+        steps.append((up, layer, norm, relu))
+    return steps

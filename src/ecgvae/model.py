@@ -117,7 +117,7 @@ def layer_table(config: ModelConfig) -> dict[str, list[dict]]:
         return [spec for a, b in zip(widths, widths[1:]) for spec in [dense(a, b), *norm_relu(b)]]
 
     def join(inputs: list[str], width: int) -> list[dict]:
-        return [{"kind": "Concat", "inputs": inputs, "axis": 1, "width": width}]
+        return [{"kind": "Concat", "inputs": inputs, "width": width}]
 
     enc_channels = (1,) + config.conv_channels
     return {

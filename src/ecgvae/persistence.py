@@ -32,6 +32,7 @@ from .errors import (
     TruncatedFileError,
     VersionError,
 )
+from .metrics import MmdReport
 from .model import ModelConfig, VaeModel, layer_table, table_floats
 from .training import EpochStats
 
@@ -260,11 +261,10 @@ def save_model(path, model: VaeModel) -> None:
     blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
     tensors = [(name, p.data) for name, p in model.named_parameters()]
     tensors += model.named_state()
-    body = struct.pack("<H", FORMAT_VERSION)
-    body += struct.pack("<I", len(blob)) + blob
-    body += struct.pack("<I", len(tensors))
-    for name, arr in tensors:
-        body += _tensor_block(name, arr)
+    # one join: growing the body block by block would copy it once per tensor
+    body = b"".join([struct.pack("<HI", FORMAT_VERSION, len(blob)), blob,
+                     struct.pack("<I", len(tensors))]
+                    + [_tensor_block(name, arr) for name, arr in tensors])
     _write(path, _wrap(MODEL_MAGIC, body))
 
 
@@ -332,13 +332,18 @@ def write_loss_history(path, history: Sequence[EpochStats]) -> None:
     _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_mmd_report(path, reports) -> None:
-    rows = reports if isinstance(reports, (list, tuple)) else [reports]
-    lines = ["label_a,label_b,n_a,n_b,sigma,mmd2_biased,mmd2_unbiased,seed"]
-    for m in rows:
-        lines.append(f"{m.label_a},{m.label_b},{m.n_a},{m.n_b},{_fmt(m.sigma)},"
-                     f"{_fmt(m.mmd2_biased)},{_fmt(m.mmd2_unbiased)},{m.seed}")
-    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+def _csv_text(text: str) -> str:
+    """text as one RFC 4180 field: quoted, quotes doubled, where it holds , " or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_mmd_report(path, m: MmdReport) -> None:
+    _write(path, ("label_a,label_b,n_a,n_b,sigma,mmd2_biased,mmd2_unbiased,seed\n"
+                  f"{_csv_text(m.label_a)},{_csv_text(m.label_b)},{m.n_a},{m.n_b},"
+                  f"{_fmt(m.sigma)},{_fmt(m.mmd2_biased)},{_fmt(m.mmd2_unbiased)},{m.seed}\n"
+                  ).encode("utf-8"))
 
 
 def write_features_csv(path, mu: np.ndarray) -> None:

@@ -60,12 +60,14 @@ def max_grad_rel_err(build_loss, tensors, n_per_tensor=None, rng=None) -> float:
 
 def old_format_manifest(blob: bytes) -> bytes:
     """A checkpoint manifest as written while kernel width, pool width, upsample factor,
-    batch-norm momentum/eps and the eval hold-out were settable: config keys and layer fields."""
+    batch-norm momentum/eps and the eval hold-out were settable: config keys and layer fields
+    (the Concat entries' axis included)."""
     manifest = json.loads(blob)
     manifest["model_config"].update(kernel_size=5, pool_width=2, up_factor=2,
                                     bn_momentum=0.1, bn_eps=1e-5)
     fields = {"Conv1d": {"stride": 1}, "BatchNorm1d": {"momentum": 0.1, "eps": 1e-5},
-              "MaxPool1d": {"width": 2}, "UpsampleNearest1d": {"factor": 2}}
+              "MaxPool1d": {"width": 2}, "UpsampleNearest1d": {"factor": 2},
+              "Concat": {"axis": 1}}
     for chain in manifest["layers"].values():
         for spec in chain:
             spec.update(fields.get(spec["kind"], {}))

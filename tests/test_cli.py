@@ -1,5 +1,7 @@
 """CLI exit codes, artifact writing, config precedence, error categories."""
 
+import csv
+import json
 import os
 import struct
 import subprocess
@@ -205,6 +207,23 @@ class TestGenerate:
         assert "bad model_config" in capsys.readouterr().err
         assert not (tmp_path / "g.ecgc").exists()
 
+    def test_checkpoint_with_a_concat_axis_is_exit_2(self, pipeline, tmp_path, capsys):
+        # the layer table of a checkpoint written while Concat entries carried "axis": 1
+        raw = pipeline[3].read_bytes()
+        body = bytearray(raw[4:-4])
+        (blob_len,) = struct.unpack_from("<I", body, 2)
+        manifest = json.loads(bytes(body[6:6 + blob_len]))
+        for chain in ("enc_join", "dec_join"):
+            manifest["layers"][chain][0]["axis"] = 1
+        blob = json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        body[2:6 + blob_len] = struct.pack("<I", len(blob)) + blob
+        bad = tmp_path / "bad.ecgv"
+        bad.write_bytes(raw[:4] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        assert main(["generate", "--model", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "g.ecgc")]) == 2
+        assert "layer table does not match" in capsys.readouterr().err
+        assert not (tmp_path / "g.ecgc").exists()
+
 
 class TestEncode:
     def test_feature_csv_shape(self, pipeline, tmp_path):
@@ -335,6 +354,18 @@ class TestMmd:
         assert main(["mmd", "--a", str(dataset), "--b", str(dataset),
                      "--sigma", "2.0", "--seed", "0", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[4] == "2.0"
+
+    def test_file_name_with_a_comma_stays_one_field(self, pipeline, tmp_path):
+        _, _, dataset, _ = pipeline
+        named = tmp_path / "a,b.ecgc"
+        named.write_bytes(dataset.read_bytes())
+        out = tmp_path / "report.csv"
+        assert main(["mmd", "--a", str(named), "--b", str(dataset),
+                     "--seed", "0", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [8, 8]
+        assert rows[1][:2] == ["a,b", dataset.stem]
 
     def test_bad_sigma_string(self, pipeline, tmp_path):
         _, _, dataset, _ = pipeline

@@ -1,11 +1,12 @@
 """Layer contracts: hand values, shape algebra, train/eval batchnorm behavior."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import max_grad_rel_err
 from ecgvae import autodiff as ad
-from ecgvae import kernels
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.layers import (
@@ -18,8 +19,8 @@ from ecgvae.layers import (
     UpsampleNearest1d,
     he_uniform,
 )
-from ecgvae.model import VaeModel
-from ecgvae.training import TrainConfig, train
+from ecgvae.model import VaeModel, kl_node, recon_node
+from ecgvae.training import DEFAULT_BETA_KL, TrainConfig, train
 
 TOL = 1e-4
 
@@ -223,17 +224,22 @@ def _c_order_nodes(monkeypatch) -> None:
     monkeypatch.setattr(ad, "_node", c_order_node)
 
 
-def _tape(out: Tensor) -> list[Tensor]:
-    """Every op output recorded on the tape behind `out`, `out` included."""
+def _graph(out: Tensor) -> list[Tensor]:
+    """Every tensor recorded on the tape behind `out`, leaves and `out` included."""
     nodes, stack, seen = [], [out], set()
     while stack:
         t = stack.pop()
-        if id(t) in seen or t.op == "leaf":
+        if id(t) in seen:
             continue
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
     return nodes
+
+
+def _tape(out: Tensor) -> list[Tensor]:
+    """Every op output recorded on the tape behind `out`, `out` included."""
+    return [t for t in _graph(out) if t.op != "leaf"]
 
 
 class TestChannelMajorChains:
@@ -319,20 +325,6 @@ class TestChannelMajorChains:
         assert ops.count("upsample1d") == 1 and nodes[0].op == "upsample1d"
         fed = {id(p) for t in nodes if t.op in ("conv1d", "upsample_conv1d") for p in t._parents}
         assert not any(t.op == "upsample1d" and id(t) in fed for t in nodes)
-
-    def test_tape_off_pool_matches_and_builds_no_route(self, rng, monkeypatch):
-        x = Tensor(rng.standard_normal((3, 4, 21)).astype(np.float32), requires_grad=True)
-        on = ad.maxpool1d(x, 2)
-
-        def no_route(*args):
-            raise AssertionError("route built with the tape off")
-
-        monkeypatch.setattr(kernels, "maxpool1d_fwd", no_route)
-        with ad.recording(False):
-            off = ad.maxpool1d(x, 2)
-        np.testing.assert_array_equal(off.data, on.data)
-        assert off._backward is None and off._parents == ()
-        assert not np.shares_memory(off.data, x.data)
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +413,72 @@ class TestFusedEval:
             Sequential([dense, ReLU()])(Tensor(np.ones((3, 2), dtype=np.float32)))
 
     def test_input_a_layer_refuses_still_raises_its_error(self, trained):
+        with ad.recording(False):
+            with pytest.raises(DimensionError, match="conv1d: input has 2 channels"):
+                trained.dec_conv(Tensor(np.zeros((2, 2, 25), dtype=np.float32)))
+            with pytest.raises(DimensionError, match="pool width 2 exceeds input length 1"):
+                Sequential([MaxPool1d()])(Tensor(np.zeros((2, 3, 1), dtype=np.float32)))
+
+
+def _kinds(seq: Sequential) -> list[tuple]:
+    return [tuple(None if layer is None else type(layer).__name__ for layer in step)
+            for step in seq.steps]
+
+
+class TestStepList:
+    """Sequential groups its layers into (up, layer, norm, relu) steps once, and both the
+    per-op path and the fused pass run them."""
+
+    def test_default_chains(self):
+        model = VaeModel.build(seed=0)
+        conv, dense = ((None, kind, "BatchNorm1d", "ReLU") for kind in ("Conv1d", "Dense"))
+        up_conv = ("UpsampleNearest1d", "Conv1d", "BatchNorm1d", "ReLU")
+        alone = {kind: (None, kind, None, None)
+                 for kind in ("Conv1d", "MaxPool1d", "UpsampleNearest1d")}
+        assert _kinds(model.enc_conv) == [conv, alone["MaxPool1d"]] * 4 + [alone["Conv1d"]]
+        assert _kinds(model.enc_dense) == [dense] * 3
+        assert _kinds(model.dec_dense) == [dense] * 4
+        assert _kinds(model.dec_conv) == [conv] + [up_conv] * 3 + [alone["UpsampleNearest1d"]]
+        for chain in ("enc_conv", "enc_dense", "dec_dense", "dec_conv"):
+            seq = getattr(model, chain)
+            assert [layer for step in seq.steps for layer in step if layer is not None] \
+                == seq.layers
+
+    def test_norms_and_relus_without_their_layer_are_steps_of_their_own(self):
+        rng = np.random.default_rng(0)
+        seq = Sequential([BatchNorm1d(3), ReLU(), MaxPool1d(), ReLU(),
+                          Conv1d(3, 4, 3, rng=rng), BatchNorm1d(5), UpsampleNearest1d()])
+        assert _kinds(seq) == [(None, None, "BatchNorm1d", "ReLU"),
+                               (None, "MaxPool1d", None, None), (None, None, None, "ReLU"),
+                               (None, "Conv1d", None, None), (None, None, "BatchNorm1d", None),
+                               (None, "UpsampleNearest1d", None, None)]
+        with ad.recording(False), pytest.raises(DimensionError, match="expected 5 channels"):
+            Sequential(seq.layers[4:])(Tensor(np.ones((2, 3, 8), dtype=np.float32)))
+
+    def test_training_loss_records_the_grouped_ops(self):
+        # the loss training.train builds, on the default model
+        model = VaeModel.build(seed=0)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((4, 400)).astype(np.float32))
+        noise = Tensor(rng.standard_normal((4, 25)).astype(np.float32))
+        mu, lv = model.encode(x, train=True)
+        z = mu + ad.exp(lv * 0.5) * noise
+        loss = recon_node(x, model.decode(z, train=True)) + kl_node(mu, lv) * DEFAULT_BETA_KL
+        assert Counter(t.op for t in _tape(loss)) == {
+            "batch_norm": 15, "dense": 10, "conv1d": 6, "maxpool1d": 4, "reshape": 4,
+            "mul": 4, "upsample_conv1d": 3, "add": 3, "sub": 3, "concat": 2, "exp": 2,
+            "square": 2, "upsample1d": 1, "mean": 1, "sum": 1}
+        assert len(_graph(loss)) == 135  # perfbench's autodiff.tape_nodes
+
+    def test_refused_input_raises_from_the_fused_pass(self, trained, monkeypatch):
+        fused = Sequential._fused_eval
+
+        def no_rerun(seq, x):
+            y = fused(seq, x)
+            assert y is not None, "the chain reran op by op"
+            return y
+
+        monkeypatch.setattr(Sequential, "_fused_eval", no_rerun)
         with ad.recording(False):
             with pytest.raises(DimensionError, match="conv1d: input has 2 channels"):
                 trained.dec_conv(Tensor(np.zeros((2, 2, 25), dtype=np.float32)))

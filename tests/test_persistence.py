@@ -1,5 +1,6 @@
 """File format roundtrips, corruption handling, CSV and SVG determinism."""
 
+import csv
 import json
 import os
 import stat
@@ -392,6 +393,27 @@ class TestModelCheckpoint:
                                               "|pool_width|up_factor)'"):
             load_model(p)
 
+    def test_concat_axis_of_the_old_layer_table_refused_before_any_tensor_is_read(
+            self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ecgv"
+        save_model(p, VaeModel.build(COMPACT, seed=1))
+
+        def with_concat_axis(blob: bytes) -> bytes:
+            manifest = json.loads(blob)
+            for chain in ("enc_join", "dec_join"):
+                manifest["layers"][chain][0]["axis"] = 1
+            return json.dumps(manifest, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+        rewrite_manifest(p, with_concat_axis)
+        assert p.read_bytes().count(b'"axis":1') == 2
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a tensor was read")
+
+        monkeypatch.setattr(persistence._Reader, "floats", unreachable)
+        with pytest.raises(IntegrityError, match="layer table does not match"):
+            load_model(p)
+
     def test_repeated_tensor_name_with_valid_crc(self, tmp_path):
         # a second block under the first tensor's name, filled with 7.0, must not
         # silently replace the first
@@ -437,6 +459,17 @@ class TestCsvWriters:
         lines = p.read_text().splitlines()
         assert lines[0] == "label_a,label_b,n_a,n_b,sigma,mmd2_biased,mmd2_unbiased,seed"
         assert lines[1] == "real,gen,10,20,1.5,0.25,0.125,7"
+
+    @pytest.mark.parametrize("label_a,label_b", [
+        ("a,b", "gen"), ('say "hi"', "x,y"), ("two\nlines", 'q"'), ("cr\r", ","),
+    ])
+    def test_mmd_report_quotes_labels_csv_would_split(self, tmp_path, label_a, label_b):
+        p = tmp_path / "mmd.csv"
+        write_mmd_report(p, MmdReport(label_a, label_b, 10, 20, 1.5, 0.25, 0.125, 7))
+        with open(p, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 2 and all(len(row) == 8 for row in rows)
+        assert rows[1] == [label_a, label_b, "10", "20", "1.5", "0.25", "0.125", "7"]
 
     def test_features_csv_column_count(self, tmp_path, rng):
         mu = rng.standard_normal((4, 25))
