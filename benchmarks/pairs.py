@@ -11,6 +11,13 @@ median and quartiles, the ratio of the medians, and in how many pairs B was
 better (direction from BENCHMARK.json); each end-to-end metric also gets a
 verdict against its bound (see `verdict`). Digests are compared pair by pair.
 Exits 1 if a run fails its checks or a pair's digests differ.
+
+    python3 benchmarks/pairs.py --a ../parent --b . --workload train --json BENCH.json
+
+--json also writes the series to a file, one entry per workload (an existing
+file keeps its other workloads' entries): the environment record, each
+side's commit, each metric's medians, quartiles, pairs won and verdict, and
+whether each pair's digests were identical.
 """
 
 from __future__ import annotations
@@ -35,7 +42,18 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     lines = proc.stdout.strip().splitlines()
     result, record = json.loads(lines[-1]), json.loads(lines[-2])
     return {"correct": result["correct"], "digests": record["digests"],
+            "environment": record["environment"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def commit(root: Path) -> dict:
+    """HEAD of the checkout at root and whether its files differ from it; nulls if no git."""
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    return {"commit": head, "dirty": None if head is None else bool(git("status", "--porcelain"))}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,22 +88,62 @@ def verdict(a: list[float], b: list[float], better: str, bound: float) -> str:
     return "held"
 
 
-def report(pairs: list[tuple[dict, dict]], better: dict[str, str],
-           bounds: dict[str, float]) -> None:
-    n = len(pairs)
-    print(f"\n{'metric':<32}{'A median [Q1, Q3]':>40}{'B median [Q1, Q3]':>40}"
-          f"{'B/A':>8}  B better")
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric: each side's median and quartiles, the pairs B won, and the verdict.
+
+    The verdict is None for a metric without a bound (a per-layer one).
+    """
+    out = {}
     for name in pairs[0][0]["metrics"]:
         a = [p[0]["metrics"][name] for p in pairs]
         b = [p[1]["metrics"][name] for p in pairs]
         way = better.get(name, "higher")
-        wins = sum((y > x) if way == "higher" else (y < x) for x, y in zip(a, b))
-        (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
-        ratio = f"{mb / ma:8.3f}" if ma else f"{'-':>8}"
-        judged = f", {verdict(a, b, way, bounds[name])}" if name in bounds else ""
-        print(f"{name:<32}{f'{ma:.6g} [{qa1:.6g}, {qa3:.6g}]':>40}"
-              f"{f'{mb:.6g} [{qb1:.6g}, {qb3:.6g}]':>40}{ratio}  {wins}/{n}"
-              f" ({way} is better{judged})")
+        side = {}
+        for key, values in (("a", a), ("b", b)):
+            q1, med, q3 = quartiles(values)
+            side[key] = {"median": med, "q1": q1, "q3": q3}
+        out[name] = {**side, "better": way,
+                     "b_won": sum((y > x) if way == "higher" else (y < x) for x, y in zip(a, b)),
+                     "verdict": verdict(a, b, way, bounds[name]) if name in bounds else None}
+    return out
+
+
+def spread(side: dict) -> str:
+    return f"{side['median']:.6g} [{side['q1']:.6g}, {side['q3']:.6g}]"
+
+
+def report(summary: dict[str, dict], n: int) -> None:
+    print(f"\n{'metric':<32}{'A median [Q1, Q3]':>40}{'B median [Q1, Q3]':>40}"
+          f"{'B/A':>8}  B better")
+    for name, row in summary.items():
+        a, b = row["a"], row["b"]
+        ratio = f"{b['median'] / a['median']:8.3f}" if a["median"] else f"{'-':>8}"
+        judged = f", {row['verdict']}" if row["verdict"] else ""
+        print(f"{name:<32}{spread(a):>40}{spread(b):>40}{ratio}  {row['b_won']}/{n}"
+              f" ({row['better']} is better{judged})")
+
+
+def series_record(pairs: list[tuple[dict, dict]], summary: dict[str, dict],
+                  commits: dict[str, dict], seconds: float, trace: int) -> dict:
+    """One workload's entry of the --json file."""
+    return {
+        "environment": pairs[0][0]["environment"],
+        "commits": commits,
+        "seconds": seconds,
+        "trace": trace,
+        "pairs": len(pairs),
+        "correct": [[a["correct"], b["correct"]] for a, b in pairs],
+        "digests_identical": [a["digests"] == b["digests"] for a, b in pairs],
+        "metrics": summary,
+    }
+
+
+def write_json(path: Path, workload: str, entry: dict) -> None:
+    """Put entry under workload in the file at path, keeping its other workloads."""
+    doc = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"workloads": {}}
+    doc["workloads"][workload] = entry
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def main() -> int:
@@ -96,6 +154,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, help="also write the series to this file")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -117,7 +176,12 @@ def main() -> int:
               f"B={runs['b']['correct']}, digests {'identical' if same else 'DIFFER'}",
               flush=True)
         pairs.append((runs["a"], runs["b"]))
-    report(pairs, better, bounds)
+    summary = summarize(pairs, better, bounds)
+    report(summary, len(pairs))
+    if args.json:
+        commits = {side: commit(getattr(args, side).resolve()) for side in ("a", "b")}
+        write_json(args.json, args.workload,
+                   series_record(pairs, summary, commits, args.seconds, args.trace))
     return 0 if ok else 1
 
 

@@ -429,8 +429,9 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
         spread = 1.0
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     height = _MARGIN_T + _BAND_H * len(rows) + _MARGIN_B
-    # every trace shares the x coordinates, so they are formatted once
+    # every trace shares the x coordinates, so they are baked into one points template
     xs = [_f(x) for x in (_MARGIN_L + np.arange(length) * (plot_w / max(1, length - 1))).tolist()]
+    points = " ".join(f"{x},%.2f" for x in xs)  # "%.2f" formats as f"{y:.2f}" does
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -446,7 +447,7 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
         mid = _MARGIN_T + _BAND_H * i + _BAND_H / 2.0
         scale = (_BAND_H * 0.9) / spread
         ys = mid + (0.5 * (gmin + gmax) - r) * scale
-        pts = " ".join(f"{x},{y:.2f}" for x, y in zip(xs, ys.tolist()))
+        pts = points % tuple(ys.tolist())
         color = _COLORS[i % len(_COLORS)]
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.0"/>')

@@ -1,8 +1,12 @@
 """Kernel and MMD oracles, including a brute-force double-loop reference."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from ecgvae import metrics
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.metrics import (
     MEDIAN_POINTS,
@@ -25,6 +29,39 @@ def mmd2_biased_bruteforce(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     sbb = sum(k(b[i], b[j]) for i in range(n) for j in range(n)) / (n * n)
     sab = sum(k(a[i], b[j]) for i in range(m) for j in range(n)) / (m * n)
     return saa + sbb - 2.0 * sab
+
+
+def picked_rows(total: int, seed: int) -> np.ndarray:
+    """The pooled rows the bandwidth reads, drawn as the pooled formula drew them."""
+    if total <= metrics.MEDIAN_POINTS:
+        return np.arange(total)
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(total, size=metrics.MEDIAN_POINTS, replace=False))
+
+
+def median_over_picked_pairs(a: np.ndarray, b: np.ndarray, seed: int) -> float:
+    """np.median of the distances, one picked pair (p < q) at a time, from the full blocks."""
+    m = a.shape[0]
+    aa, bb, ab = (metrics._sq_dists(x, y) for x, y in ((a, a), (b, b), (a, b)))
+    pick = picked_rows(m + b.shape[0], seed).tolist()
+    dists = []
+    for i, p in enumerate(pick):
+        for q in pick[i + 1:]:
+            if q < m:
+                sq = aa[p, q]
+            elif p < m:
+                sq = ab[p, q - m]
+            else:
+                sq = bb[p - m, q - m]
+            dists.append(np.sqrt(sq))
+    return float(np.median(dists))
+
+
+def median_of_pooled_product(a: np.ndarray, b: np.ndarray, seed: int) -> float:
+    """The pooled formula: one Gram of the picked pool and its upper triangle."""
+    pool = np.concatenate([a, b])[picked_rows(a.shape[0] + b.shape[0], seed)]
+    sq = metrics._sq_dists(pool, pool)[np.triu_indices(pool.shape[0], k=1)]
+    return float(np.median(np.sqrt(sq)))
 
 
 class TestRbfKernel:
@@ -191,3 +228,107 @@ class TestCompareSets:
         rep = compare_sets(np.zeros((1, 3)), rng.standard_normal((5, 3)))
         assert np.isnan(rep.mmd2_unbiased)
         assert rep.mmd2_biased >= 0.0
+
+
+class TestOneDistancePass:
+    """compare_sets reads the bandwidth out of the same blocks the MMD^2 sums."""
+
+    @pytest.mark.parametrize("rows", [301, 1203])  # pools of 602 and 2406 rows
+    def test_copy_of_offset_rows_gives_exactly_zero(self, rng, rows):
+        # 301 and 1203 rows end on partial BLAS tiles; the offset makes
+        # ||x||^2 + ||y||^2 - 2 x.y cancel hard, so a rounding mismatch shows
+        a = 100.0 + rng.standard_normal((rows, 400))
+        assert (2 * rows > MEDIAN_POINTS) == (rows == 1203)
+        rep = compare_sets(a, a.copy())
+        assert rep.mmd2_biased == 0.0
+        assert rep.sigma > 0.0
+
+    @pytest.mark.parametrize("m,n,points", [
+        (3, 2, 2000),  # 10 pairs (even)
+        (4, 2, 2000),  # 15 pairs (odd)
+        (7, 5, 2000),  # 66 pairs (even)
+        (6, 5, 2000),  # 55 pairs (odd)
+        (40, 31, 50),  # a subsample of 50 rows: 1225 pairs (odd)
+        (35, 36, 48),  # a subsample of 48 rows: 1128 pairs (even)
+    ])
+    def test_sigma_is_the_median_over_the_picked_pairs(self, rng, monkeypatch, m, n, points):
+        monkeypatch.setattr(metrics, "MEDIAN_POINTS", points)
+        a = 100.0 + rng.standard_normal((m, 30))
+        b = 100.0 + 1.5 * rng.standard_normal((n, 30))
+        for seed in (0, 7):
+            sigma = compare_sets(a, b, seed=seed).sigma
+            assert sigma == median_over_picked_pairs(a, b, seed)
+            assert sigma == pytest.approx(median_of_pooled_product(a, b, seed), rel=1e-12)
+            standalone = median_heuristic(a, b, seed=seed)
+            assert standalone == pytest.approx(sigma, rel=1e-12)
+
+    def test_score_size_sigma_is_near_the_pooled_product(self, rng):
+        a = 0.3 * rng.standard_normal((1000, 400))
+        b = 0.3 * rng.standard_normal((1920, 400)) + 0.01
+        sigma = compare_sets(a, b, seed=3).sigma
+        assert sigma == pytest.approx(median_of_pooled_product(a, b, 3), rel=1e-12)
+        assert median_heuristic(a, b, seed=3) == pytest.approx(sigma, rel=1e-12)
+
+    def test_one_row_side(self, rng):
+        a = rng.standard_normal((1, 6))
+        b = rng.standard_normal((9, 6))
+        rep = compare_sets(a, b, seed=1)
+        assert rep.sigma == median_over_picked_pairs(a, b, 1)
+        assert rep.mmd2_biased == mmd2_biased(a, b, rep.sigma)
+        assert np.isnan(rep.mmd2_unbiased)
+
+    def test_two_row_pool(self):
+        a = np.array([[0.0, 0.0]])
+        b = np.array([[3.0, 4.0]])
+        rep = compare_sets(a, b)
+        assert rep.sigma == 5.0
+        assert rep.mmd2_biased == pytest.approx(2.0 - 2.0 * np.exp(-25.0 / 50.0), rel=1e-14)
+        assert compare_sets(a, a.copy()).sigma == 1.0  # one zero distance falls back
+
+    def test_score_size_peak_memory(self, rng):
+        a = rng.standard_normal((1000, 400))
+        b = rng.standard_normal((1920, 400))
+        tracemalloc.start()
+        try:
+            compare_sets(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the three blocks are 53 MB; the picked distances 16 MB more
+        assert peak < 90e6
+
+
+class TestOverflowingDistances:
+    @pytest.mark.parametrize("call", [
+        lambda a, b: compare_sets(a, b),
+        lambda a, b: compare_sets(a, b, sigma=1.0),
+        lambda a, b: median_heuristic(a, b),
+        lambda a, b: mmd2_biased(a, b, 1.0),
+        lambda a, b: mmd2_unbiased(a, b, 1.0),
+        lambda a, b: rbf_kernel(a, b, 1.0),
+    ])
+    def test_finite_rows_whose_distances_overflow_raise(self, rng, call):
+        a = 1e200 * rng.standard_normal((20, 8))
+        b = 1e200 * rng.standard_normal((30, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match="overflow"):
+                call(a, b)
+
+    def test_one_huge_row_on_one_side_raises(self, rng):
+        a = rng.standard_normal((20, 8))
+        b = rng.standard_normal((30, 8))
+        b[7, 3] = 1e154  # a finite squared norm, 1e308, but 2 x.x overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match="overflow"):
+                compare_sets(a, b)
+
+    def test_large_but_safe_rows_score_without_warnings(self, rng):
+        a = 1e150 * rng.standard_normal((20, 8))
+        b = 1e150 * rng.standard_normal((30, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = compare_sets(a, b)
+        assert np.isfinite([rep.sigma, rep.mmd2_biased, rep.mmd2_unbiased]).all()
+        assert rep.sigma == pytest.approx(median_of_pooled_product(a, b, 0), rel=1e-12)

@@ -1,6 +1,7 @@
 """benchmarks/pairs.py: the per-metric verdict on paired parent/change runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,56 @@ class TestVerdict:
         assert verdict(ones, ones, "higher", 0.01) == "held"
         assert verdict(ones, [0.9] + [1.0] * 9, "higher", 0.01) == "held"
         assert verdict(ones, [0.98] * 10, "higher", 0.01) == "regressed"
+
+
+def synthetic_run(seed: int, shift: float) -> dict:
+    """One run as run_once returns it, with made-up numbers."""
+    return {"correct": True, "digests": {"model": "m", "mmd_row": f"r{seed % 2}"},
+            "environment": {"backend": "numpy", "blas_threads": 1},
+            "metrics": {"mmd_s": 0.3 - shift + 0.001 * seed, "model.forward_ms": 40.0 + seed}}
+
+
+class TestJsonRecord:
+    def series(self):
+        pairs_ = [(synthetic_run(i, 0.0), synthetic_run(i + (i == 8), 0.1))
+                  for i in range(10)]
+        better = {"mmd_s": "lower", "model.forward_ms": "lower"}
+        summary = pairs.summarize(pairs_, better, {"mmd_s": 0.25})
+        commits = {"a": {"commit": "abc", "dirty": False}, "b": {"commit": None, "dirty": None}}
+        return pairs_, summary, pairs.series_record(pairs_, summary, commits, 50.0, 0)
+
+    def test_schema(self):
+        pairs_, summary, rec = self.series()
+        assert set(rec) == {"environment", "commits", "seconds", "trace", "pairs", "correct",
+                            "digests_identical", "metrics"}
+        assert rec["environment"] == {"backend": "numpy", "blas_threads": 1}
+        assert rec["commits"]["a"] == {"commit": "abc", "dirty": False}
+        assert (rec["seconds"], rec["trace"], rec["pairs"]) == (50.0, 0, 10)
+        assert rec["correct"] == [[True, True]] * 10
+        # pair 8 gave B another seed's mmd_row digest
+        assert rec["digests_identical"] == [True] * 8 + [False, True]
+        for row in rec["metrics"].values():
+            assert set(row) == {"a", "b", "better", "b_won", "verdict"}
+            for side in ("a", "b"):
+                assert set(row[side]) == {"median", "q1", "q3"}
+                assert row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
+
+    def test_figures(self):
+        pairs_, summary, rec = self.series()
+        mmd = rec["metrics"]["mmd_s"]
+        a = [p[0]["metrics"]["mmd_s"] for p in pairs_]
+        assert mmd["a"]["median"] == pytest.approx(sorted(a)[4] / 2 + sorted(a)[5] / 2)
+        assert (mmd["better"], mmd["b_won"], mmd["verdict"]) == ("lower", 10, "gain")
+        forward = rec["metrics"]["model.forward_ms"]
+        assert forward["verdict"] is None  # no bound: a per-layer metric
+        assert forward["b_won"] == 0
+
+    def test_file_keeps_other_workloads(self, tmp_path):
+        path = tmp_path / "BENCH.json"
+        _, _, rec = self.series()
+        pairs.write_json(path, "score", rec)
+        pairs.write_json(path, "train", {"pairs": 1})
+        pairs.write_json(path, "score", rec)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(doc["workloads"]) == ["score", "train"]
+        assert doc["workloads"]["score"] == rec

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import stat
 import struct
 import tracemalloc
@@ -600,6 +601,40 @@ class TestSvgPlot:
             ys = mid + (0.5 * (gmin + gmax) - r) * ((P._BAND_H * 0.9) / (gmax - gmin))
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))  # numpy scalars
             assert f'<polyline points="{pts}" ' in markup
+
+    @staticmethod
+    def f_string_polylines(traces) -> list[str]:
+        """Each trace's points as a per-point f-string formatter writes them."""
+        P = persistence
+        rows = [np.asarray(t, dtype=np.float64).reshape(-1) for t in traces]
+        gmin, gmax = min(float(r.min()) for r in rows), max(float(r.max()) for r in rows)
+        spread = gmax - gmin if gmax > gmin else 1.0
+        n = rows[0].size
+        step = (P._SVG_W - P._MARGIN_L - P._MARGIN_R) / max(1, n - 1)
+        xs = [f"{x:.2f}" for x in (P._MARGIN_L + np.arange(n) * step).tolist()]
+        out = []
+        for i, r in enumerate(rows):
+            mid = P._MARGIN_T + P._BAND_H * i + P._BAND_H / 2.0
+            ys = mid + (0.5 * (gmin + gmax) - r) * ((P._BAND_H * 0.9) / spread)
+            out.append(" ".join(f"{x},{y:.2f}" for x, y in zip(xs, ys.tolist())))
+        return out
+
+    @pytest.mark.parametrize("traces", [
+        [[0.0, 1.0] + [0.5 - (k + 0.005 - 62.0) / 57.6 for k in range(40, 80)]],
+        [[-0.0, 1e-9, -1e-9, 1e-3, 2.675, 1e6, -1e6, 0.005], [0.0] * 8],
+        [[1e-9, -1e-9, 0.0, -0.0, 5e-10, -2.5e-9], [-0.0] * 6],
+        [[-0.0] * 7],
+        np.random.default_rng(8).standard_normal((10, 400)) * np.logspace(-9, 6, 10)[:, None],
+    ])
+    def test_points_bytes_equal_the_f_string_formatter(self, traces):
+        markup = emit_plot(traces)
+        assert re.findall(r'<polyline points="([^"]*)"', markup) == self.f_string_polylines(traces)
+
+    def test_percent_format_equals_the_f_string_format(self):
+        # the points template fills "%.2f" slots; it must format as f"{y:.2f}" does
+        edges = [k / 100 + 0.005 for k in range(-300, 300)] + [62.125, 123456.785, 2.675]
+        ys = edges + [-0.0, 0.0, 1e-9, -1e-9, 1e-3, -4e-3, 1e6, -1e6, 999999.995, np.inf]
+        assert "%.2f " * len(ys) % tuple(ys) == "".join(f"{y:.2f} " for y in ys)
 
     def test_label_escaping(self):
         markup = emit_plot(np.zeros((1, 5)), labels=["a<b&c"])
