@@ -170,11 +170,12 @@ def main() -> int:
         order = ("a", "b") if i % 2 else ("b", "a")
         runs = {side: run_once(getattr(args, side).resolve(), args.workload, i, args.seconds,
                                args.trace) for side in order}
-        same = runs["a"]["digests"] == runs["b"]["digests"]
-        ok = ok and same and runs["a"]["correct"] and runs["b"]["correct"]
+        da, db = runs["a"]["digests"], runs["b"]["digests"]
+        moved = sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
+        ok = ok and not moved and runs["a"]["correct"] and runs["b"]["correct"]
         print(f"pair {i} ({order[0].upper()} first): correct A={runs['a']['correct']} "
-              f"B={runs['b']['correct']}, digests {'identical' if same else 'DIFFER'}",
-              flush=True)
+              f"B={runs['b']['correct']}, digests "
+              f"{'DIFFER: ' + ', '.join(moved) if moved else 'identical'}", flush=True)
         pairs.append((runs["a"], runs["b"]))
     summary = summarize(pairs, better, bounds)
     report(summary, len(pairs))

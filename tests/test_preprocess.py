@@ -149,6 +149,30 @@ class TestDetector:
             detect_r_peaks(np.zeros(5000), fs)
 
 
+class TestMergeClose:
+    """The detector's close-pair merge: refined peaks closer than the refractory gap."""
+
+    REFRACTORY = 50
+
+    def test_peaks_exactly_refractory_apart_are_both_kept(self):
+        lead = np.zeros(200)
+        lead[[20, 70]] = [1.0, 2.0]
+        assert preprocess._merge_close([20, 70], lead, self.REFRACTORY) == [20, 70]
+
+    @pytest.mark.parametrize("heights,kept", [((1.0, 2.0), [69]), ((2.0, 1.0), [20])])
+    def test_closer_peaks_merge_to_the_taller(self, heights, kept):
+        lead = np.zeros(200)
+        lead[[20, 69]] = heights
+        assert preprocess._merge_close([20, 69], lead, self.REFRACTORY) == kept
+
+    def test_duplicates_and_a_run_of_close_peaks(self):
+        lead = np.zeros(300)
+        lead[[10, 40, 80, 200]] = [1.0, 3.0, 2.0, 1.0]
+        # 10 and 40 merge to 40; 80 is 40 after the kept 40, so it merges and loses
+        assert preprocess._merge_close([10, 10, 40, 80, 200], lead, 50) == [40, 200]
+        assert preprocess._merge_close([], lead, 50) == []
+
+
 class TestExtractCycles:
     def test_window_bounds_and_skips(self):
         lead = np.arange(1000, dtype=np.float32)
