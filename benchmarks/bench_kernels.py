@@ -4,19 +4,19 @@ Runs every hot kernel through the public [B, C, L] functions in
 ecgvae.kernels and prints a timing table (best of N). Two last tables time
 the decoder's three upsample->conv pairs both ways: an explicit nearest
 upsampling then the conv kernels, against the one polyphase convolution
-that the model runs. The first is the forward alone at batch 256, as
-eval-mode inference runs it (upsample_conv1d_fwd); the second is forward
-plus backward at the training batch (upsample_conv1d_fwd and
-upsample_conv1d_bwd, against conv1d_fwd and conv1d_bwd on the upsampled
-input plus upsample1d's backward, the sum over the phases). The figures
-differ from a training step in two ways. The backward kernels unfold their
-input into im2col columns again, where autodiff keeps the columns from the
-forward pass. And the inputs here are in C order, where inside the model
-each conv after a chain's first reads channel-major memory (the previous
-conv's output, carried through batch norm and pooling). Each rep keeps the
-previous rep's result alive until it returns, as a training step keeps its
-activations, so a rep does not page-fault freshly mapped buffers. Use
---quick for a fast smoke pass.
+that the model runs. The first is the forward alone at the batch of
+ecgvae.model.DECODE_ROWS (128) rows, the chunk eval-mode decoding runs
+(upsample_conv1d_fwd); the second is forward plus backward at the training
+batch (upsample_conv1d_fwd and upsample_conv1d_bwd, against conv1d_fwd and
+conv1d_bwd on the upsampled input plus upsample1d's backward, the sum over
+the phases). The figures differ from a training step in two ways. The
+backward kernels unfold their input into im2col columns again, where
+autodiff keeps the columns from the forward pass. And the inputs here are in
+C order, where inside the model each conv after a chain's first reads
+channel-major memory (the previous conv's output, carried through batch norm
+and pooling). Each rep keeps the previous rep's result alive until it
+returns, as a training step keeps its activations, so a rep does not
+page-fault freshly mapped buffers. Use --quick for a fast smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """
@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from ecgvae import kernels
+from ecgvae.model import DECODE_ROWS
 
 # (label, in_channels, out_channels, length, stride) per conv layer, plus the
 # pooling stages; these mirror the default encoder/decoder at cycle length 400
@@ -52,7 +53,6 @@ UPCONV_SHAPES = [
     ("dec up3+conv3 32->16 L50", 32, 16, 50),
     ("dec up4+conv4 16->1 L100", 16, 1, 100),
 ]
-UPCONV_BATCH = 256
 KERNEL_WIDTH = 5
 UP_FACTOR = 2
 POOL_WIDTH = 2
@@ -156,7 +156,7 @@ def main() -> None:
     print(f"kernels: {kernels.backend_name()}  (batch {batch}, best of {reps} reps)")
     print_table(f"conv1d (same padding, K={KERNEL_WIDTH})", bench_conv(batch, reps))
     print_table(f"maxpool1d (width {POOL_WIDTH})", bench_pool(batch, reps))
-    up_batch = batch if args.quick else UPCONV_BATCH
+    up_batch = batch if args.quick else DECODE_ROWS
     print_table(f"upsample x{UP_FACTOR} -> conv1d (K={KERNEL_WIDTH}, batch {up_batch})",
                 bench_upconv(up_batch, reps), cols=("upsample+conv", "polyphase"))
     print_table(f"upsample x{UP_FACTOR} -> conv1d forward + backward (K={KERNEL_WIDTH}, "

@@ -17,7 +17,7 @@ Exits 1 if a run fails its checks or a pair's digests differ.
 --json also writes the series to a file, one entry per workload (an existing
 file keeps its other workloads' entries): the environment record, each
 side's commit, each metric's medians, quartiles, pairs won and verdict, and
-whether each pair's digests were identical.
+for each pair the sorted names of the digests that differ ([] when none do).
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ def report(summary: dict[str, dict], n: int) -> None:
               f" ({row['better']} is better{judged})")
 
 
+def digests_moved(a: dict, b: dict) -> list[str]:
+    """Sorted names of the digests that differ between runs a and b, or that only one has."""
+    da, db = a["digests"], b["digests"]
+    return sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
+
+
 def series_record(pairs: list[tuple[dict, dict]], summary: dict[str, dict],
                   commits: dict[str, dict], seconds: float, trace: int) -> dict:
     """One workload's entry of the --json file."""
@@ -134,7 +140,7 @@ def series_record(pairs: list[tuple[dict, dict]], summary: dict[str, dict],
         "trace": trace,
         "pairs": len(pairs),
         "correct": [[a["correct"], b["correct"]] for a, b in pairs],
-        "digests_identical": [a["digests"] == b["digests"] for a, b in pairs],
+        "digests_moved": [digests_moved(a, b) for a, b in pairs],
         "metrics": summary,
     }
 
@@ -170,8 +176,7 @@ def main() -> int:
         order = ("a", "b") if i % 2 else ("b", "a")
         runs = {side: run_once(getattr(args, side).resolve(), args.workload, i, args.seconds,
                                args.trace) for side in order}
-        da, db = runs["a"]["digests"], runs["b"]["digests"]
-        moved = sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
+        moved = digests_moved(runs["a"], runs["b"])
         ok = ok and not moved and runs["a"]["correct"] and runs["b"]["correct"]
         print(f"pair {i} ({order[0].upper()} first): correct A={runs['a']['correct']} "
               f"B={runs['b']['correct']}, digests "

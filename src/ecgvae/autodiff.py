@@ -20,9 +20,10 @@ with the Tensor on the left.
 Layers that would take many primitive nodes are single ops with a closed-form
 backward: batch_norm (with an optional fused ReLU) is one node, and conv1d
 keeps its im2col columns from the forward pass for the backward pass.
-upsample_conv1d is a nearest upsampling and the conv after it as one node, a
-polyphase convolution (kernels.upsample_conv1d_fwd) that keeps the columns
-of the short input, so the upsampled activation is never formed.
+conv1d takes an upsampling factor, 1 by default: above 1 it is a nearest
+upsampling and the conv after it as one node, a polyphase convolution that
+keeps the columns of the short input, so the upsampled activation is never
+formed. It has no stride.
 Rank-3 tensors have one layout, [B,C,L], in shape; in memory the conv chains
 run channel-major. conv1d returns a [B,C,L] view of the kernels' [C,B,L]
 result, and every downstream op allocates like its input (numpy's
@@ -360,16 +361,18 @@ def check_dense(x: np.ndarray, w: np.ndarray) -> None:
         raise DimensionError(f"dense: input width {x.shape} does not match weight {w.shape}")
 
 
-def check_conv(x: np.ndarray, w: np.ndarray, op: str) -> None:
+def check_conv(x: np.ndarray, w: np.ndarray, factor: int = 1) -> None:
     if x.ndim != 3:
-        raise DimensionError(f"{op} expects rank-3 input, got shape {x.shape}")
+        raise DimensionError(f"conv1d expects rank-3 input, got shape {x.shape}")
     if w.ndim != 3:
-        raise DimensionError(f"{op} weight must be rank-3, got {w.shape}")
+        raise DimensionError(f"conv1d weight must be rank-3, got {w.shape}")
     if w.shape[2] % 2 != 1:
-        raise ValueError(f"{op} kernel width must be odd, got {w.shape[2]}")
+        raise ValueError(f"conv1d kernel width must be odd, got {w.shape[2]}")
     if x.shape[1] != w.shape[1]:
-        raise DimensionError(f"{op}: input has {x.shape[1]} channels, "
+        raise DimensionError(f"conv1d: input has {x.shape[1]} channels, "
                              f"weight expects {w.shape[1]}")
+    if factor < 1:
+        raise ValueError(f"conv1d upsampling factor must be >= 1, got {factor}")
 
 
 def check_pool(x: np.ndarray, width: int) -> None:
@@ -403,59 +406,33 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x.data @ w.data.T + b.data, (x, w, b), bwd, "dense")
 
 
-def _accumulate_conv(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray,
-                     dx: Optional[np.ndarray], dw: np.ndarray) -> None:
-    """Hand a conv op's gradients to its input (dx [C,B,L]), weight and bias (g's channel sums)."""
-    if x.requires_grad:
-        x._accumulate(dx.swapaxes(0, 1))
-    if w.requires_grad:
-        w._accumulate(dw)
-    if b.requires_grad:
-        b._accumulate(_channel_sum(g).astype(g.dtype))
+def conv1d(x: Tensor, w: Tensor, b: Tensor, factor: int = 1) -> Tensor:
+    """Zero-padded 1-d cross-correlation over [B,C,L] of x upsampled (nearest) by `factor`,
+    plus a per-channel bias b [Co].
 
-
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Zero-padded 1-d cross-correlation over [B,C,L] plus a per-channel bias b [Co].
-
-    The output is a [B,C,L] view of channel-major [C,B,L] memory.
+    Above factor 1 this is a polyphase convolution of x (see kernels): the
+    upsampled input is never formed, and the columns kept for the backward
+    pass are those of x, with K' = 2*ceil(((K-1)//2) / factor) + 1 taps. The
+    output is a [B,C,factor*L] view of channel-major [C,B,factor*L] memory.
     """
-    check_conv(x.data, w.data, "conv1d")
-    if stride < 1:
-        raise ValueError(f"conv1d stride must be >= 1, got {stride}")
+    check_conv(x.data, w.data, factor)
     # the kernels take [C,B,L]; swapping axes 0 and 1 (a view) maps [B,C,L] there and back
     xd = x.data.swapaxes(0, 1)
-    cols = kernels.im2col(xd, w.data.shape[2], stride)
+    cols = kernels.im2col(xd, kernels.phase_width(w.data.shape[2], factor), 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
-        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], b.data)
+        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], b.data, factor)
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate_conv(x, w, b, g, *kernels.conv1d_cols_bwd(
-            cols, w.data, g.swapaxes(0, 1), xd.shape[2], stride, need_dx=x.requires_grad))
+        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g.swapaxes(0, 1), xd.shape[2],
+                                         factor=factor, need_dx=x.requires_grad)
+        if x.requires_grad:
+            x._accumulate(dx.swapaxes(0, 1))
+        if w.requires_grad:
+            w._accumulate(dw)
+        if b.requires_grad:
+            b._accumulate(_channel_sum(g).astype(g.dtype))
 
     return _node(y.swapaxes(0, 1), (x, w, b), bwd, "conv1d")
-
-
-def upsample_conv1d(x: Tensor, w: Tensor, b: Tensor, factor: int) -> Tensor:
-    """conv1d(upsample1d(x, factor), w, b) as one op: a polyphase convolution of x.
-
-    The upsampled input is never formed: the columns kept for the backward pass
-    are those of x with K' = 2*ceil(((K-1)//2) / factor) + 1 taps. The output is a
-    [B,C,factor*L] view of channel-major [C,B,factor*L] memory.
-    """
-    check_conv(x.data, w.data, "upsample_conv1d")
-    check_upsample(x.data, factor)
-    xd = x.data.swapaxes(0, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
-        wp = kernels.polyphase_weight(w.data, factor)
-        cols = kernels.im2col(xd, wp.shape[2], 1)
-        y = kernels.upsample_conv1d_cols(cols, wp, xd.shape[1], factor, b.data)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate_conv(x, w, b, g, *kernels.upsample_conv1d_cols_bwd(
-            cols, wp, g.swapaxes(0, 1), xd.shape[2], factor, w.data.shape[2],
-            need_dx=x.requires_grad))
-
-    return _node(y.swapaxes(0, 1), (x, w, b), bwd, "upsample_conv1d")
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:

@@ -9,20 +9,24 @@ columns for the backward pass. conv1d_fwd/conv1d_bwd take and give [B, C, L]
 by swapping axes 0 and 1 (a view) around that one path, so their output is
 channel-major in memory.
 
-A nearest upsampling by f followed by a stride-1 convolution is one
-polyphase convolution of the short input (upsample_conv1d_fwd). With
+There is one convolution, of x upsampled (nearest) by a factor f. It is a
+polyphase convolution of the short input, which is never upsampled. With
 p = (K - 1) // 2, output y[f*t + r] = sum_k w[k] * x[t + (r + k - p) // f],
 so phase r is a same-padded convolution of x whose K' = 2*ceil(p/f) + 1 taps
 are the sums of the w[k] that share an offset (r + k - p) // f. The f phases
 stack into one [f*Co, Ci, K'] weight: one im2col, one matmul, then an
 interleave into y[..., r::f]. The padding is exact, since i lies in [0, f*L)
 if and only if i // f lies in [0, L). For f = 2 and K = 5 that is K' = 3:
-60% of the multiplies and 30% of the column bytes of the plain path. The
-backward pass (upsample_conv1d_bwd) gathers dy[..., r::f] into the same
-[f*Co, B, L] phase stack, runs the plain conv backward on x's columns with
-the phase weights, and folds the phase-weight gradient back onto w with the
-transpose of polyphase_weight. The interleave and the gather are one view,
-_phases, and the tap map one list, _phase_taps, shared by both directions.
+60% of the multiplies and 30% of the column bytes of upsampling first. The
+backward pass gathers dy[..., r::f] into the same [f*Co, B, L] phase stack,
+runs the matmuls with the phase weights, and folds the phase-weight gradient
+back onto w with the transpose of polyphase_weight. The interleave and the
+gather are one view, _phases, and the tap map one list, _phase_taps, shared
+by both directions. At f = 1, K' = K and the phase map is the identity, so
+the kernels use w as it is (polyphase_weight would turn a -0.0 tap into
++0.0) and skip the interleave and the gather: that is the plain convolution.
+A stride above 1 is for f = 1 only. upsample_conv1d_fwd/upsample_conv1d_bwd
+are the same kernels with f as a positional argument.
 
 Max pooling is a running max over the `width` strided slices of each window;
 maxpool1d_fwd then marks, for each window, the first slice equal to that max
@@ -91,44 +95,16 @@ def col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int) 
     return dx
 
 
-def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
-                bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convolution output [Co,B,Lout] from im2col columns, plus an optional bias [Co]."""
-    co = w.shape[0]
-    y = (w.reshape(co, -1) @ cols).reshape(co, batch, -1)
-    if bias is not None:
-        y += bias[:, None, None]
-    return y
+def phase_width(k: int, factor: int) -> int:
+    """Taps K' = 2*ceil(p/factor) + 1 of each phase, p = (k - 1) // 2: k itself at factor 1."""
+    return 2 * -(-((k - 1) // 2) // factor) + 1
 
 
-def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int,
-                    stride: int, need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """(dx [Ci,B,L] or None, dw) of conv1d_cols given its columns and upstream dy [Co,B,Lout]."""
-    co, ci, k = w.shape
-    dyc = dy.reshape(co, -1)
-    dw = (dyc @ cols.T).reshape(w.shape)
-    if not need_dx:
-        return None, dw
-    wm = w.reshape(co, ci * k)
-    # OpenBLAS runs the rank-1 product of a single output channel ~10x slower
-    # than the equivalent broadcast multiply
-    dcols = wm.T * dyc if co == 1 else wm.T @ dyc
-    return col2im(dcols, (ci, dy.shape[1], length), k, stride), dw
-
-
-def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1,
-               bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Zero-padded cross-correlation, x [B,Ci,L] * w [Co,Ci,K] (+ bias [Co]) -> [B,Co,ceil(L/s)]."""
-    cols = im2col(x.swapaxes(0, 1), w.shape[2], stride)
-    return conv1d_cols(cols, w, x.shape[0], bias).swapaxes(0, 1)
-
-
-def _phase_taps(k: int, factor: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """K' and the (phase r, tap k, phase tap) triples of polyphase_weight, in its summing order."""
+def _phase_taps(k: int, factor: int) -> list[tuple[int, int, int]]:
+    """The (phase r, tap k, phase tap) triples of polyphase_weight, in its summing order."""
     pad = (k - 1) // 2
     q = -(-pad // factor)
-    return 2 * q + 1, [(r, kk, (r + kk - pad) // factor + q)
-                       for r in range(factor) for kk in range(k)]
+    return [(r, kk, (r + kk - pad) // factor + q) for r in range(factor) for kk in range(k)]
 
 
 def polyphase_weight(w: np.ndarray, factor: int) -> np.ndarray:
@@ -138,11 +114,10 @@ def polyphase_weight(w: np.ndarray, factor: int) -> np.ndarray:
     in increasing k, where p = (K - 1) // 2 and q = ceil(p / factor).
     """
     co, ci, k = w.shape
-    taps, triples = _phase_taps(k, factor)
-    wp = np.zeros((factor, co, ci, taps), dtype=w.dtype)
-    for r, kk, d in triples:
+    wp = np.zeros((factor, co, ci, phase_width(k, factor)), dtype=w.dtype)
+    for r, kk, d in _phase_taps(k, factor):
         wp[r, :, :, d] += w[:, :, kk]
-    return wp.reshape(factor * co, ci, taps)
+    return wp.reshape(factor * co, ci, -1)
 
 
 def polyphase_weight_bwd(dwp: np.ndarray, factor: int, k: int) -> np.ndarray:
@@ -151,7 +126,7 @@ def polyphase_weight_bwd(dwp: np.ndarray, factor: int, k: int) -> np.ndarray:
     fco, ci, taps = dwp.shape
     parts = dwp.reshape(factor, fco // factor, ci, taps)
     dw = np.zeros((fco // factor, ci, k), dtype=dwp.dtype)
-    for r, kk, d in _phase_taps(k, factor)[1]:
+    for r, kk, d in _phase_taps(k, factor):
         dw[:, :, kk] += parts[r, :, :, d]
     return dw
 
@@ -162,55 +137,74 @@ def _phases(a: np.ndarray, factor: int) -> np.ndarray:
     return a.reshape(n0, n1, n // factor, factor).transpose(3, 0, 1, 2)
 
 
-def upsample_conv1d_cols(cols: np.ndarray, wp: np.ndarray, batch: int, factor: int,
-                         bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Output [Co,B,factor*L] of the upsampled convolution from the im2col columns of x and
-    the phase weights wp = polyphase_weight(w, factor), plus an optional bias [Co]."""
-    phases = conv1d_cols(cols, wp, batch, None if bias is None else np.tile(bias, factor))
-    co = wp.shape[0] // factor
-    y = np.empty((co, batch, factor * phases.shape[2]), dtype=phases.dtype)
+def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
+                bias: Optional[np.ndarray] = None, factor: int = 1) -> np.ndarray:
+    """Output [Co,B,factor*Lout] of w [Co,Ci,K] (+ bias [Co]) over x upsampled by `factor`,
+    from the im2col columns of x with phase_width(K, factor) taps."""
+    co = w.shape[0]
+    if factor > 1:
+        w = polyphase_weight(w, factor)
+        bias = None if bias is None else np.tile(bias, factor)
+    y = (w.reshape(factor * co, -1) @ cols).reshape(factor * co, batch, -1)
+    if bias is not None:
+        y += bias[:, None, None]
+    if factor == 1:
+        return y
+    out = np.empty((co, batch, factor * y.shape[2]), dtype=y.dtype)
     # one strided copy per phase: assigning through the whole [f,Co,B,L] view is ~7x slower
-    for part, phase in zip(_phases(y, factor), phases.reshape(factor, co, batch, -1)):
+    for part, phase in zip(_phases(out, factor), y.reshape(factor, co, batch, -1)):
         part[...] = phase
-    return y
+    return out
 
 
-def upsample_conv1d_cols_bwd(cols: np.ndarray, wp: np.ndarray, dy: np.ndarray, length: int,
-                             factor: int, k: int,
-                             need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """(dx [Ci,B,L] or None, dw [Co,Ci,k]) of upsample_conv1d_cols given upstream dy [Co,B,f*L]."""
-    dyp = np.ascontiguousarray(_phases(dy, factor)).reshape(wp.shape[0], dy.shape[1], length)
-    dx, dwp = conv1d_cols_bwd(cols, wp, dyp, length, 1, need_dx)
-    return dx, polyphase_weight_bwd(dwp, factor, k)
+def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int,
+                    stride: int = 1, factor: int = 1,
+                    need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(dx [Ci,B,L] or None, dw [Co,Ci,K]) of conv1d_cols given its columns and upstream dy
+    [Co,B,factor*Lout]."""
+    co, ci, k = w.shape
+    if factor > 1:
+        w = polyphase_weight(w, factor)
+        dy = np.ascontiguousarray(_phases(dy, factor)).reshape(factor * co, dy.shape[1], length)
+    dyc = dy.reshape(factor * co, -1)
+    dw = (dyc @ cols.T).reshape(w.shape)
+    if factor > 1:
+        dw = polyphase_weight_bwd(dw, factor, k)
+    if not need_dx:
+        return None, dw
+    wm = w.reshape(factor * co, -1)
+    # OpenBLAS runs the rank-1 product of a single output channel ~10x slower
+    # than the equivalent broadcast multiply
+    dcols = wm.T * dyc if factor * co == 1 else wm.T @ dyc
+    return col2im(dcols, (ci, dy.shape[1], length), w.shape[2], stride), dw
+
+
+def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1,
+               bias: Optional[np.ndarray] = None, factor: int = 1) -> np.ndarray:
+    """Zero-padded cross-correlation of x [B,Ci,L] upsampled by `factor` with w [Co,Ci,K]
+    (+ bias [Co]) -> [B,Co,factor*ceil(L/stride)]; a stride above 1 only at factor 1."""
+    cols = im2col(x.swapaxes(0, 1), phase_width(w.shape[2], factor), stride)
+    return conv1d_cols(cols, w, x.shape[0], bias, factor).swapaxes(0, 1)
+
+
+def conv1d_bwd(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray,
+               factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,factor*Lout]."""
+    cols = im2col(x.swapaxes(0, 1), phase_width(w.shape[2], factor), stride)
+    dx, dw = conv1d_cols_bwd(cols, w, dy.swapaxes(0, 1), x.shape[2], stride, factor)
+    return dx.swapaxes(0, 1), dw
 
 
 def upsample_conv1d_fwd(x: np.ndarray, w: np.ndarray, factor: int,
                         bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """conv1d_fwd(upsample1d(x, factor), w, 1, bias) -> [B,Co,factor*L], as one polyphase
-    convolution of x [B,Ci,L] that never forms the upsampled input."""
-    wp = polyphase_weight(w, factor)
-    xs = x.swapaxes(0, 1)
-    cols = im2col(xs, wp.shape[2], 1)
-    return upsample_conv1d_cols(cols, wp, xs.shape[1], factor, bias).swapaxes(0, 1)
+    """conv1d_fwd(upsample1d(x, factor), w, 1, bias) without forming the upsampled input."""
+    return conv1d_fwd(x, w, 1, bias, factor)
 
 
 def upsample_conv1d_bwd(x: np.ndarray, w: np.ndarray, factor: int,
                         dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dx, dw) of upsample_conv1d_fwd given upstream dy [B,Co,factor*L]."""
-    wp = polyphase_weight(w, factor)
-    xs = x.swapaxes(0, 1)
-    cols = im2col(xs, wp.shape[2], 1)
-    dx, dw = upsample_conv1d_cols_bwd(cols, wp, dy.swapaxes(0, 1), xs.shape[2], factor,
-                                      w.shape[2])
-    return dx.swapaxes(0, 1), dw
-
-
-def conv1d_bwd(x: np.ndarray, w: np.ndarray, stride: int,
-               dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,Lout]."""
-    cols = im2col(x.swapaxes(0, 1), w.shape[2], stride)
-    dx, dw = conv1d_cols_bwd(cols, w, dy.swapaxes(0, 1), x.shape[2], stride)
-    return dx.swapaxes(0, 1), dw
+    return conv1d_bwd(x, w, 1, dy, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,22 @@ layer, norm, relu): a Conv1d or Dense with the BatchNorm1d of its width
 after it and a ReLU after that, and an UpsampleNearest1d right before a
 Conv1d as that conv's up. Any other layer is a step of its own, and a batch
 norm or ReLU with no conv or dense before it is a step with no layer. The
-layer list, and with it the checkpoint layout, stays as written. Op by op
-(training, or the tape on), an up runs with its conv as one polyphase
-convolution (ad.upsample_conv1d), so training never forms the upsampled
-activation, and a norm as one batch_norm op with its ReLU fused in. In eval
-mode with the tape off (model.encode/decode), the steps run as one numpy
-pass: each norm folds into its conv or dense, w' = w * s and
-b' = (b - mean) * s + beta with s = gamma / sqrt(var + eps) as batch_norm
-computes it (refolded on every call, so no weight is cached), the ReLU runs
-in place, and each layer checks its input by its op's own rule
-(ad.check_*), so a refused input raises the op's error. Only the chain's
-output is checked for NaN/Inf. A non-finite output, a step with no layer or
-a parameter dtype other than the input's runs the chain op by op instead,
-which returns its result or raises the error that names the op. The fused
-result matches the per-op one to about 1e-6 relative.
+layer list, and with it the checkpoint layout, stays as written. Each conv
+step is one conv call with its up's factor, or factor 1 with no up: a plain
+conv is the factor-1 polyphase convolution, and above 1 the upsampled
+activation is never formed. Op by op (training, or the tape on) that call
+is ad.conv1d, and a norm runs as one batch_norm op with its ReLU fused in.
+In eval mode with the tape off (model.encode/decode), the steps run as one
+numpy pass, where the call is kernels.conv1d_fwd: each norm folds into its
+conv or dense, w' = w * s and b' = (b - mean) * s + beta with
+s = gamma / sqrt(var + eps) as batch_norm computes it (refolded on every
+call, so no weight is cached), the ReLU runs in place, and each layer checks
+its input by its op's own rule (ad.check_*), so a refused input raises the
+op's error. Only the chain's output is checked for NaN/Inf. A non-finite
+output, a step with no layer or a parameter dtype other than the input's
+runs the chain op by op instead, which returns its result or raises the
+error that names the op. The fused result matches the per-op one to about
+1e-6 relative.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ class Sequential(Layer):
             if y is not None:
                 return Tensor(y, op="sequential")
         for up, layer, norm, relu in self.steps:
-            if up is not None:
-                x = ad.upsample_conv1d(x, layer.weight, layer.bias, up.factor)
+            if isinstance(layer, Conv1d):
+                x = ad.conv1d(x, layer.weight, layer.bias, 1 if up is None else up.factor)
             elif layer is not None:
                 x = layer(x, train=train)
             if norm is not None:
@@ -234,12 +236,10 @@ class Sequential(Layer):
                     if isinstance(layer, Dense):
                         ad.check_dense(x, w)
                         x = x @ w.T + b
-                    elif up is not None:
-                        ad.check_conv(x, w, "upsample_conv1d")
-                        x = kernels.upsample_conv1d_fwd(x, w, up.factor, b)
                     else:
-                        ad.check_conv(x, w, "conv1d")
-                        x = kernels.conv1d_fwd(x, w, bias=b)
+                        factor = 1 if up is None else up.factor
+                        ad.check_conv(x, w, factor)
+                        x = kernels.conv1d_fwd(x, w, bias=b, factor=factor)
                     if relu is not None:
                         x *= x > 0  # like batch_norm's fused ReLU: -inf becomes NaN, not 0
             if not np.isfinite(x).all():

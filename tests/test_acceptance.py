@@ -119,11 +119,11 @@ def test_criterion_2_gradient_suite(capsys):
             lambda: ad.reduce_sum(ad.square(dense(x))),
             [x, dense.weight, dense.bias]))
 
-        for stride in (1, 2):  # the layer runs stride 1; its op takes a stride too
+        for factor in (1, 2):  # a plain conv, and one behind a nearest upsampling by 2
             conv = Conv1d(2, 3, 5, rng=rng, dtype=np.float64)
             xc = Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
             worst_layer = max(worst_layer, check(
-                lambda: ad.reduce_sum(ad.square(ad.conv1d(xc, conv.weight, conv.bias, stride))),
+                lambda: ad.reduce_sum(ad.square(ad.conv1d(xc, conv.weight, conv.bias, factor))),
                 [xc, conv.weight, conv.bias]))
 
         bn = BatchNorm1d(4, dtype=np.float64)

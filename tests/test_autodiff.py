@@ -1,14 +1,23 @@
 """Autodiff engine: per-op gradients vs central differences, graph semantics."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import max_grad_rel_err
 from ecgvae import autodiff as ad
+from ecgvae import kernels
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError, StateError
 
 TOL = 1e-4
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_kernels", Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py")
+bench_kernels = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_kernels)
 
 
 def leaf(rng, shape, scale=1.0):
@@ -67,14 +76,14 @@ class TestOpGradients:
 
         assert max_grad_rel_err(loss, [x, w, b]) < TOL
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv1d(self, stride, rng):
-        x = leaf(rng, (2, 3, 11))
-        w = leaf(rng, (4, 3, 5))
+    @pytest.mark.parametrize("factor,k", [(1, 5), (1, 3), (2, 5), (3, 3), (2, 1)])
+    def test_conv1d(self, factor, k, rng):
+        x = leaf(rng, (2, 3, 6))
+        w = leaf(rng, (4, 3, k))
         b = leaf(rng, (4,))
 
         def loss():
-            return ad.reduce_sum(ad.square(ad.conv1d(x, w, b, stride=stride)))
+            return ad.reduce_sum(ad.square(ad.conv1d(x, w, b, factor)))
 
         assert max_grad_rel_err(loss, [x, w, b]) < TOL
 
@@ -112,17 +121,6 @@ class TestOpGradients:
 
         assert max_grad_rel_err(loss, [x]) < TOL
 
-    @pytest.mark.parametrize("factor,k", [(2, 5), (3, 3), (2, 1)])
-    def test_upsample_conv1d(self, factor, k, rng):
-        x = leaf(rng, (2, 3, 6))
-        w = leaf(rng, (4, 3, k))
-        b = leaf(rng, (4,))
-
-        def loss():
-            return ad.reduce_sum(ad.square(ad.upsample_conv1d(x, w, b, factor)))
-
-        assert max_grad_rel_err(loss, [x, w, b]) < TOL
-
     def test_concat_and_reshape(self, rng):
         a = leaf(rng, (3, 4))
         b = leaf(rng, (3, 2))
@@ -132,6 +130,31 @@ class TestOpGradients:
             return ad.reduce_sum(ad.square(ad.reshape(joined, (2, 9))))
 
         assert max_grad_rel_err(loss, [a, b]) < TOL
+
+
+class TestConvFactorOne:
+    """At factor 1 the conv op is the plain conv kernel, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("shape", bench_kernels.CONV_SHAPES, ids=lambda s: s[0])
+    def test_matches_the_plain_kernels_bytewise(self, shape, batch):
+        _, ci, co, length, _ = shape
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, ci, length)).astype(np.float32)
+        w = rng.standard_normal((co, ci, bench_kernels.KERNEL_WIDTH)).astype(np.float32)
+        w[0, 0, 1] = -0.0  # a phase-weight sum would make it +0.0
+        b = rng.standard_normal(co).astype(np.float32)
+        g = rng.standard_normal((batch, co, length)).astype(np.float32)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = ad.conv1d(xt, wt, bt)
+        ad.reduce_sum(y * Tensor(g)).backward()  # the gradient reaching y is g itself
+        dx, dw = kernels.conv1d_bwd(x, w, 1, g)
+        # the bias gradient: float32 sums along L, added over the batch in float64
+        db = np.einsum("bcl->bc", g).sum(axis=0, dtype=np.float64).astype(np.float32)
+        for got, want in ((y.data, kernels.conv1d_fwd(x, w, 1, b)), (xt.grad, dx),
+                          (wt.grad, dw), (bt.grad, db)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGraphSemantics:
@@ -255,12 +278,12 @@ class TestShapeErrors:
 
     def test_upsample_conv_checks_like_conv(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 8)))
-        with pytest.raises(DimensionError, match="upsample_conv1d: input has 3 channels"):
-            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 4, 3))), Tensor(np.zeros(2)), 2)
-        with pytest.raises(ValueError, match="kernel width must be odd"):
-            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.zeros(2)), 2)
-        with pytest.raises(ValueError, match="factor must be >= 1"):
-            ad.upsample_conv1d(x, Tensor(rng.standard_normal((2, 3, 3))), Tensor(np.zeros(2)), 0)
+        with pytest.raises(DimensionError, match="conv1d: input has 3 channels"):
+            ad.conv1d(x, Tensor(rng.standard_normal((2, 4, 3))), Tensor(np.zeros(2)), 2)
+        with pytest.raises(ValueError, match="conv1d kernel width must be odd"):
+            ad.conv1d(x, Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.zeros(2)), 2)
+        with pytest.raises(ValueError, match="conv1d upsampling factor must be >= 1"):
+            ad.conv1d(x, Tensor(rng.standard_normal((2, 3, 3))), Tensor(np.zeros(2)), 0)
 
     def test_pool_wider_than_input(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4)))

@@ -281,7 +281,7 @@ class TestChannelMajorChains:
                 while i < len(layers):
                     layer, nxt = layers[i], (layers + [None])[i + 1]
                     if isinstance(layer, UpsampleNearest1d) and isinstance(nxt, Conv1d):
-                        xt = ad.upsample_conv1d(xt, nxt.weight, nxt.bias, layer.factor)
+                        xt = ad.conv1d(xt, nxt.weight, nxt.bias, layer.factor)
                         i += 2
                     else:
                         xt = layer(xt, train=train)
@@ -328,10 +328,13 @@ class TestChannelMajorChains:
         x = np.random.default_rng(8).standard_normal((4, 1, 25)).astype(np.float32)
         nodes = _tape(seq(Tensor(x, requires_grad=True), train=True))
         ops = [t.op for t in nodes]
-        assert ops.count("upsample_conv1d") == 3
+        convs = [t for t in nodes if t.op == "conv1d"]
+        # the first conv reads the 25-wide code; each of the other three doubles its input
+        assert [t.data.shape[2] // t._parents[0].data.shape[2] for t in convs].count(2) == 3
+        assert len(convs) == 4
         # the chain's last upsampling has no conv after it and stays its own op
         assert ops.count("upsample1d") == 1 and nodes[0].op == "upsample1d"
-        fed = {id(p) for t in nodes if t.op in ("conv1d", "upsample_conv1d") for p in t._parents}
+        fed = {id(p) for t in convs for p in t._parents}
         assert not any(t.op == "upsample1d" and id(t) in fed for t in nodes)
 
 
@@ -473,9 +476,9 @@ class TestStepList:
         z = mu + ad.exp(lv * 0.5) * noise
         loss = recon_node(x, model.decode(z, train=True)) + kl_node(mu, lv) * DEFAULT_BETA_KL
         assert Counter(t.op for t in _tape(loss)) == {
-            "batch_norm": 15, "dense": 10, "conv1d": 6, "maxpool1d": 4, "reshape": 4,
-            "mul": 4, "upsample_conv1d": 3, "add": 3, "sub": 3, "concat": 2, "exp": 2,
-            "square": 2, "upsample1d": 1, "mean": 1, "sum": 1}
+            "batch_norm": 15, "dense": 10, "conv1d": 9, "maxpool1d": 4, "reshape": 4,
+            "mul": 4, "add": 3, "sub": 3, "concat": 2, "exp": 2, "square": 2,
+            "upsample1d": 1, "mean": 1, "sum": 1}
         assert len(_graph(loss)) == 135  # perfbench's autodiff.tape_nodes
 
     def test_refused_input_raises_from_the_fused_pass(self, trained, monkeypatch):

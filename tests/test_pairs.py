@@ -95,13 +95,13 @@ class TestJsonRecord:
     def test_schema(self):
         pairs_, summary, rec = self.series()
         assert set(rec) == {"environment", "commits", "seconds", "trace", "pairs", "correct",
-                            "digests_identical", "metrics"}
+                            "digests_moved", "metrics"}
         assert rec["environment"] == {"backend": "numpy", "blas_threads": 1}
         assert rec["commits"]["a"] == {"commit": "abc", "dirty": False}
         assert (rec["seconds"], rec["trace"], rec["pairs"]) == (50.0, 0, 10)
         assert rec["correct"] == [[True, True]] * 10
         # pair 8 gave B another seed's mmd_row digest
-        assert rec["digests_identical"] == [True] * 8 + [False, True]
+        assert rec["digests_moved"] == [[]] * 8 + [["mmd_row"], []]
         for row in rec["metrics"].values():
             assert set(row) == {"a", "b", "better", "b_won", "verdict"}
             for side in ("a", "b"):
