@@ -6,17 +6,18 @@ the decoder's three upsample->conv pairs both ways: an explicit nearest
 upsampling then the conv kernels, against the one polyphase convolution
 that the model runs. The first is the forward alone at the batch of
 ecgvae.model.DECODE_ROWS (128) rows, the chunk eval-mode decoding runs
-(upsample_conv1d_fwd); the second is forward plus backward at the training
-batch (upsample_conv1d_fwd and upsample_conv1d_bwd, against conv1d_fwd and
-conv1d_bwd on the upsampled input plus upsample1d's backward, the sum over
-the phases). The figures differ from a training step in two ways. The
-backward kernels unfold their input into im2col columns again, where
-autodiff keeps the columns from the forward pass. And the inputs here are in
-C order, where inside the model each conv after a chain's first reads
-channel-major memory (the previous conv's output, carried through batch norm
-and pooling). Each rep keeps the previous rep's result alive until it
-returns, as a training step keeps its activations, so a rep does not
-page-fault freshly mapped buffers. Use --quick for a fast smoke pass.
+(conv1d_fwd with factor=UP_FACTOR); the second is forward plus backward at
+the training batch (conv1d_fwd and conv1d_bwd with factor=UP_FACTOR, against
+the same kernels at factor 1 on the upsampled input plus upsample1d's
+backward, the sum over the phases). The figures differ from a training step
+in two ways. The backward kernels unfold their input into im2col columns
+again, where autodiff keeps the columns from the forward pass. And the
+inputs here are in C order, where inside the model each conv after a
+chain's first reads channel-major memory (the previous conv's output,
+carried through batch norm and pooling). Each rep keeps the previous rep's
+result alive until it returns, as a training step keeps its activations, so
+a rep does not page-fault freshly mapped buffers. Use --quick for a fast
+smoke pass.
 
     python benchmarks/bench_kernels.py [--batch 64] [--reps 20] [--quick]
 """
@@ -100,7 +101,7 @@ def bench_upconv(batch: int, reps: int) -> list[tuple[str, float, float]]:
         rows.append((label,
                      best_ms(lambda: kernels.conv1d_fwd(kernels.upsample1d(x, UP_FACTOR), w),
                              reps),
-                     best_ms(lambda: kernels.upsample_conv1d_fwd(x, w, UP_FACTOR), reps)))
+                     best_ms(lambda: kernels.conv1d_fwd(x, w, factor=UP_FACTOR), reps)))
     return rows
 
 
@@ -117,8 +118,8 @@ def upsampled_conv_step(x, w, dy):
 
 def polyphase_conv_step(x, w, dy):
     """Forward and backward of the same pair as one polyphase convolution."""
-    return (kernels.upsample_conv1d_fwd(x, w, UP_FACTOR),
-            *kernels.upsample_conv1d_bwd(x, w, UP_FACTOR, dy))
+    return (kernels.conv1d_fwd(x, w, factor=UP_FACTOR),
+            *kernels.conv1d_bwd(x, w, 1, dy, factor=UP_FACTOR))
 
 
 def bench_upconv_train(batch: int, reps: int) -> list[tuple[str, float, float]]:

@@ -23,7 +23,7 @@ keeps its im2col columns from the forward pass for the backward pass.
 conv1d takes an upsampling factor, 1 by default: above 1 it is a nearest
 upsampling and the conv after it as one node, a polyphase convolution that
 keeps the columns of the short input, so the upsampled activation is never
-formed. It has no stride.
+formed. Every conv is stride 1 and same-padded: its output is factor * L long.
 Rank-3 tensors have one layout, [B,C,L], in shape; in memory the conv chains
 run channel-major. conv1d returns a [B,C,L] view of the kernels' [C,B,L]
 result, and every downstream op allocates like its input (numpy's
@@ -412,19 +412,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, factor: int = 1) -> Tensor:
 
     Above factor 1 this is a polyphase convolution of x (see kernels): the
     upsampled input is never formed, and the columns kept for the backward
-    pass are those of x, with K' = 2*ceil(((K-1)//2) / factor) + 1 taps. The
-    output is a [B,C,factor*L] view of channel-major [C,B,factor*L] memory.
+    pass are those of x. The output is a [B,C,factor*L] view of channel-major
+    [C,B,factor*L] memory.
     """
     check_conv(x.data, w.data, factor)
     # the kernels take [C,B,L]; swapping axes 0 and 1 (a view) maps [B,C,L] there and back
-    xd = x.data.swapaxes(0, 1)
-    cols = kernels.im2col(xd, kernels.phase_width(w.data.shape[2], factor), 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite becomes a NumericsError
-        y = kernels.conv1d_cols(cols, w.data, xd.shape[1], b.data, factor)
+        y, cols = kernels.conv1d_cols(x.data.swapaxes(0, 1), w.data, b.data, factor)
 
     def bwd(g: np.ndarray) -> None:
-        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g.swapaxes(0, 1), xd.shape[2],
-                                         factor=factor, need_dx=x.requires_grad)
+        dx, dw = kernels.conv1d_cols_bwd(cols, w.data, g.swapaxes(0, 1), factor,
+                                         need_dx=x.requires_grad)
         if x.requires_grad:
             x._accumulate(dx.swapaxes(0, 1))
         if w.requires_grad:

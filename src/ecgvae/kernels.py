@@ -1,13 +1,13 @@
 """Hot numeric kernels: 1-d convolution, max pooling and nearest upsampling, in numpy.
 
 Convolution runs channel-outermost, on [C, B, L], through im2col (Chellapilla
-et al. 2006): one shifted row copy per tap unfolds x into columns [Ci*K, B*Lout],
-zero where a tap reads the padding. The forward matmul's [Co, B*Lout] already
-is the output [Co, B, Lout]; backward views dy as [Co, B*Lout] for the dw and
-dcols matmuls and folds dcols straight into [Ci, B, L]. autodiff keeps the
-columns for the backward pass. conv1d_fwd/conv1d_bwd take and give [B, C, L]
-by swapping axes 0 and 1 (a view) around that one path, so their output is
-channel-major in memory.
+et al. 2006): one shifted row copy per tap unfolds x into columns [Ci*K, B*L],
+zero where a tap reads the padding. The forward matmul's [Co, B*L] already is
+the output [Co, B, L]; backward views dy as [Co, B*L] for the dw and dcols
+matmuls and folds dcols straight into [Ci, B, L]. conv1d_cols returns the
+columns with the output, and autodiff keeps them for the backward pass.
+conv1d_fwd/conv1d_bwd take and give [B, C, L] by swapping axes 0 and 1 (a
+view) around that one path, so their output is channel-major in memory.
 
 There is one convolution, of x upsampled (nearest) by a factor f. It is a
 polyphase convolution of the short input, which is never upsampled. With
@@ -25,8 +25,6 @@ gather are one view, _phases, and the tap map one list, _phase_taps, shared
 by both directions. At f = 1, K' = K and the phase map is the identity, so
 the kernels use w as it is (polyphase_weight would turn a -0.0 tap into
 +0.0) and skip the interleave and the gather: that is the plain convolution.
-A stride above 1 is for f = 1 only. upsample_conv1d_fwd/upsample_conv1d_bwd
-are the same kernels with f as a positional argument.
 
 Max pooling is a running max over the `width` strided slices of each window;
 maxpool1d_fwd then marks, for each window, the first slice equal to that max
@@ -35,10 +33,12 @@ output, so the backward pass is `width` strided multiplies. Pooling reads
 only the last axis and allocates like its input, so channel-major memory
 stays channel-major.
 
-Kernels do no validation: the calling layer code does. Convolution is
-cross-correlation (no kernel flip) with zero padding of (K - 1) // 2 on each
-side, so the output length is ceil(L / stride). Pooling is non-overlapping
-with a trailing partial window dropped.
+Kernels do no validation: the calling layer code does. The one exception is
+the stride slot that conv1d_fwd/conv1d_bwd keep for positional callers: every
+convolution has stride 1, and any other stride raises ValueError. Convolution
+is cross-correlation (no kernel flip) with zero padding of (K - 1) // 2 on
+each side, so the output is f*L long. Pooling is non-overlapping with a
+trailing partial window dropped.
 """
 
 from __future__ import annotations
@@ -53,44 +53,37 @@ def backend_name() -> str:
     return "numpy"
 
 
-def conv_out_len(length: int, stride: int) -> int:
-    return -(-length // stride)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
 
-def _taps(k: int, length: int, stride: int):
+def _taps(k: int, length: int):
     """Per tap kk: outputs t0 <= t < t1 read x[..., src]; the others read padding."""
-    lout = conv_out_len(length, stride)
     pad = (k - 1) // 2
     for kk in range(k):
         shift = kk - pad
-        t0 = max(0, -(shift // stride))
-        t1 = max(t0, min(lout, (length - 1 - shift) // stride + 1))
-        lo = t0 * stride + shift
-        yield kk, t0, t1, slice(lo, lo + (t1 - t0) * stride, stride)
+        t0 = max(0, -shift)
+        t1 = max(t0, min(length, length - shift))
+        yield kk, t0, t1, slice(t0 + shift, t1 + shift)
 
 
-def im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Unfold x [Ci,B,L] into columns [Ci*K, B*Lout] of its zero-padded copy xpad:
-    cols[i*K + kk, b*Lout + t] = xpad[i, b, t*stride + kk]."""
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Unfold x [Ci,B,L] into columns [Ci*K, B*L] of its zero-padded copy xpad:
+    cols[i*K + kk, b*L + t] = xpad[i, b, t + kk]."""
     ci, b, length = x.shape
-    lout = conv_out_len(length, stride)
-    cols = np.empty((ci, k, b, lout), dtype=x.dtype)
-    for kk, t0, t1, src in _taps(k, length, stride):
+    cols = np.empty((ci, k, b, length), dtype=x.dtype)
+    for kk, t0, t1, src in _taps(k, length):
         cols[:, kk, :, :t0] = 0
         cols[:, kk, :, t1:] = 0
         cols[:, kk, :, t0:t1] = x[:, :, src]
-    return cols.reshape(ci * k, b * lout)
+    return cols.reshape(ci * k, b * length)
 
 
-def col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int) -> np.ndarray:
-    """Sum column gradients [Ci*K, B*Lout] back onto an input of `shape` [Ci,B,L]."""
+def col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
+    """Sum column gradients [Ci*K, B*L] back onto an input of `shape` [Ci,B,L]."""
     taps = dcols.reshape(shape[0], k, shape[1], -1)
     dx = np.zeros(shape, dtype=dcols.dtype)
-    for kk, t0, t1, dst in _taps(k, shape[2], stride):
+    for kk, t0, t1, dst in _taps(k, shape[2]):
         dx[:, :, dst] += taps[:, kk, :, t0:t1]
     return dx
 
@@ -137,11 +130,14 @@ def _phases(a: np.ndarray, factor: int) -> np.ndarray:
     return a.reshape(n0, n1, n // factor, factor).transpose(3, 0, 1, 2)
 
 
-def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
-                bias: Optional[np.ndarray] = None, factor: int = 1) -> np.ndarray:
-    """Output [Co,B,factor*Lout] of w [Co,Ci,K] (+ bias [Co]) over x upsampled by `factor`,
-    from the im2col columns of x with phase_width(K, factor) taps."""
-    co = w.shape[0]
+def conv1d_cols(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
+                factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(y [Co,B,factor*L], cols): w [Co,Ci,K] (+ bias [Co]) over x [Ci,B,L] upsampled by
+    `factor`, and the im2col columns of x, with phase_width(K, factor) taps, that
+    conv1d_cols_bwd takes."""
+    co, _, k = w.shape
+    batch = x.shape[1]
+    cols = im2col(x, phase_width(k, factor))
     if factor > 1:
         w = polyphase_weight(w, factor)
         bias = None if bias is None else np.tile(bias, factor)
@@ -149,23 +145,22 @@ def conv1d_cols(cols: np.ndarray, w: np.ndarray, batch: int,
     if bias is not None:
         y += bias[:, None, None]
     if factor == 1:
-        return y
+        return y, cols
     out = np.empty((co, batch, factor * y.shape[2]), dtype=y.dtype)
     # one strided copy per phase: assigning through the whole [f,Co,B,L] view is ~7x slower
     for part, phase in zip(_phases(out, factor), y.reshape(factor, co, batch, -1)):
         part[...] = phase
-    return out
+    return out, cols
 
 
-def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int,
-                    stride: int = 1, factor: int = 1,
+def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, factor: int = 1,
                     need_dx: bool = True) -> tuple[Optional[np.ndarray], np.ndarray]:
     """(dx [Ci,B,L] or None, dw [Co,Ci,K]) of conv1d_cols given its columns and upstream dy
-    [Co,B,factor*Lout]."""
+    [Co,B,factor*L]."""
     co, ci, k = w.shape
     if factor > 1:
         w = polyphase_weight(w, factor)
-        dy = np.ascontiguousarray(_phases(dy, factor)).reshape(factor * co, dy.shape[1], length)
+        dy = np.ascontiguousarray(_phases(dy, factor)).reshape(factor * co, dy.shape[1], -1)
     dyc = dy.reshape(factor * co, -1)
     dw = (dyc @ cols.T).reshape(w.shape)
     if factor > 1:
@@ -176,35 +171,29 @@ def conv1d_cols_bwd(cols: np.ndarray, w: np.ndarray, dy: np.ndarray, length: int
     # OpenBLAS runs the rank-1 product of a single output channel ~10x slower
     # than the equivalent broadcast multiply
     dcols = wm.T * dyc if factor * co == 1 else wm.T @ dyc
-    return col2im(dcols, (ci, dy.shape[1], length), w.shape[2], stride), dw
+    return col2im(dcols, (ci, *dy.shape[1:]), w.shape[2]), dw
+
+
+def _stride_one(stride: int) -> None:
+    if stride != 1:
+        raise ValueError(f"conv1d: stride 1 only, got {stride}")
 
 
 def conv1d_fwd(x: np.ndarray, w: np.ndarray, stride: int = 1,
                bias: Optional[np.ndarray] = None, factor: int = 1) -> np.ndarray:
     """Zero-padded cross-correlation of x [B,Ci,L] upsampled by `factor` with w [Co,Ci,K]
-    (+ bias [Co]) -> [B,Co,factor*ceil(L/stride)]; a stride above 1 only at factor 1."""
-    cols = im2col(x.swapaxes(0, 1), phase_width(w.shape[2], factor), stride)
-    return conv1d_cols(cols, w, x.shape[0], bias, factor).swapaxes(0, 1)
+    (+ bias [Co]) -> [B,Co,factor*L]. `stride` must be 1."""
+    _stride_one(stride)
+    return conv1d_cols(x.swapaxes(0, 1), w, bias, factor)[0].swapaxes(0, 1)
 
 
 def conv1d_bwd(x: np.ndarray, w: np.ndarray, stride: int, dy: np.ndarray,
                factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,factor*Lout]."""
-    cols = im2col(x.swapaxes(0, 1), phase_width(w.shape[2], factor), stride)
-    dx, dw = conv1d_cols_bwd(cols, w, dy.swapaxes(0, 1), x.shape[2], stride, factor)
+    """Gradients (dx, dw) of conv1d_fwd given upstream dy [B,Co,factor*L]. `stride` must be 1."""
+    _stride_one(stride)
+    cols = im2col(x.swapaxes(0, 1), phase_width(w.shape[2], factor))
+    dx, dw = conv1d_cols_bwd(cols, w, dy.swapaxes(0, 1), factor)
     return dx.swapaxes(0, 1), dw
-
-
-def upsample_conv1d_fwd(x: np.ndarray, w: np.ndarray, factor: int,
-                        bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """conv1d_fwd(upsample1d(x, factor), w, 1, bias) without forming the upsampled input."""
-    return conv1d_fwd(x, w, 1, bias, factor)
-
-
-def upsample_conv1d_bwd(x: np.ndarray, w: np.ndarray, factor: int,
-                        dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dx, dw) of upsample_conv1d_fwd given upstream dy [B,Co,factor*L]."""
-    return conv1d_bwd(x, w, 1, dy, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -136,18 +136,11 @@ def median_heuristic(a, b, seed: int = 0) -> float:
 
     Exact when the pool has at most MEDIAN_POINTS rows; above that a seeded
     uniform subsample of MEDIAN_POINTS rows is used. A degenerate pool (all
-    rows identical) falls back to sigma = 1.0. Only the picked rows' blocks
-    are computed. `compare_sets` reads the same pairs from its full blocks;
-    BLAS may round an entry differently at another place in a product, so on
-    a subsampled pool the two can differ in the last bits.
+    rows identical) falls back to sigma = 1.0. It reads the picked pairs from
+    the full blocks, as `compare_sets` does, so the two give the same sigma.
     """
     a, b = _pair(a, b)
-    m = a.shape[0]
-    pick = _pick(m + b.shape[0], seed)
-    if pick.size < m + b.shape[0]:
-        a, b = a[pick[pick < m]], b[pick[pick >= m] - m]
-        pick = np.arange(pick.size)
-    return _bandwidth(*_grams(a, b), pick)
+    return _bandwidth(*_grams(a, b), _pick(a.shape[0] + b.shape[0], seed))
 
 
 def _mmd2(aa: np.ndarray, bb: np.ndarray, ab: np.ndarray, sigma: float) -> tuple[float, float]:

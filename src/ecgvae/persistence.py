@@ -251,7 +251,14 @@ def _tensor_block(name: str, arr: np.ndarray) -> bytes:
 
 
 def save_model(path, model: VaeModel) -> None:
-    """Checkpoint = JSON manifest (config + layer table) + named f32 tensors."""
+    """Checkpoint = JSON manifest (config + layer table) + named f32 tensors.
+
+    A model of another dtype is refused (ValueError) before anything is written:
+    its tensors would be rounded to float32, and load_model builds float32.
+    """
+    if model.dtype != np.float32:
+        raise ValueError(f"save_model: checkpoints hold float32 tensors, the model is "
+                         f"{model.dtype}")
     manifest = {
         "model_config": model.config.to_dict(),
         "layers": layer_table(model.config),

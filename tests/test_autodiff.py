@@ -156,6 +156,29 @@ class TestConvFactorOne:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_phase_weights_are_built_only_above_factor_one(self, factor, monkeypatch):
+        # building them at factor 1 changes no output bit, so only a call count shows it
+        calls = {"polyphase_weight": 0, "polyphase_weight_bwd": 0}
+        for name, fn in [(n, getattr(kernels, n)) for n in calls]:
+            def counted(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        rng = np.random.default_rng(factor)
+        for _, ci, co, length, _ in bench_kernels.CONV_SHAPES:
+            x, w = leaf(rng, (2, ci, length)), leaf(rng, (co, ci, bench_kernels.KERNEL_WIDTH))
+            before = dict(calls)
+            y = ad.conv1d(x, w, leaf(rng, (co,)), factor)
+            fwd = calls["polyphase_weight"] - before["polyphase_weight"]
+            before = dict(calls)
+            ad.reduce_sum(ad.square(y)).backward()
+            bwd = [calls[n] - before[n] for n in calls]
+            if factor == 1:
+                assert fwd == 0 and bwd == [0, 0]
+            else:
+                assert fwd >= 1 and min(bwd) >= 1
+
 
 class TestGraphSemantics:
     def test_gradients_accumulate_across_consumers(self):

@@ -80,7 +80,7 @@ def test_every_file_calls_the_library():
         assert names, f"{path} calls no ecgvae name"
         called |= names
     assert {"sample_synthetic", "cut_segments", "extract_cycles", "median_heuristic", "Adam",
-            "traversal_sweep", "conv1d_fwd", "upsample_conv1d_fwd", "upsample_conv1d_bwd",
+            "traversal_sweep", "conv1d_fwd", "conv1d_bwd",
             "preprocess_records",
             "backend_name"} <= called
 

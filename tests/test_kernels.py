@@ -28,14 +28,14 @@ class TestConvForward:
         w[0, 0, 2] = 1.0  # delta at the center tap
         np.testing.assert_array_equal(kernels.conv1d_fwd(x, w, 1), x)
 
-    @pytest.mark.parametrize("length,stride,expected", [
-        (400, 1, 400), (400, 2, 200), (401, 2, 201), (7, 3, 3), (1, 1, 1),
-    ])
-    def test_output_length_is_ceil(self, length, stride, expected):
-        assert kernels.conv_out_len(length, stride) == expected
-        x = np.zeros((1, 1, length), dtype=np.float32)
+    @pytest.mark.parametrize("stride", [0, 2, 3])
+    def test_stride_other_than_one_is_refused(self, stride):
+        x = np.zeros((1, 1, 8), dtype=np.float32)
         w = np.zeros((1, 1, 3), dtype=np.float32)
-        assert kernels.conv1d_fwd(x, w, stride).shape == (1, 1, expected)
+        with pytest.raises(ValueError, match="stride 1 only"):
+            kernels.conv1d_fwd(x, w, stride)
+        with pytest.raises(ValueError, match="stride 1 only"):
+            kernels.conv1d_bwd(x, w, stride, x)
 
     def test_width_one_kernel_is_channel_mix(self, rng):
         x = rng.standard_normal((2, 3, 10)).astype(np.float64)
@@ -45,25 +45,24 @@ class TestConvForward:
         np.testing.assert_allclose(y, expect, atol=1e-12)
 
 
-def naive_conv(x, w, stride):
+def naive_conv(x, w):
     """Loop oracle for conv1d_fwd: zero-padded cross-correlation."""
     b, ci, length = x.shape
     co, _, k = w.shape
     pad = (k - 1) // 2
-    lout = kernels.conv_out_len(length, stride)
-    y = np.zeros((b, co, lout))
+    y = np.zeros((b, co, length))
     for bb in range(b):
         for o in range(co):
-            for t in range(lout):
+            for t in range(length):
                 for i in range(ci):
                     for kk in range(k):
-                        pos = t * stride + kk - pad
+                        pos = t + kk - pad
                         if 0 <= pos < length:
                             y[bb, o, t] += w[o, i, kk] * x[bb, i, pos]
     return y
 
 
-def naive_conv_bwd(x, w, stride, dy):
+def naive_conv_bwd(x, w, dy):
     """Loop oracle for conv1d_bwd: every tap sends dy back to its input and weight."""
     b, ci, length = x.shape
     co, _, k = w.shape
@@ -75,7 +74,7 @@ def naive_conv_bwd(x, w, stride, dy):
             for t in range(dy.shape[2]):
                 for i in range(ci):
                     for kk in range(k):
-                        pos = t * stride + kk - pad
+                        pos = t + kk - pad
                         if 0 <= pos < length:
                             dx[bb, i, pos] += w[o, i, kk] * dy[bb, o, t]
                             dw[o, i, kk] += x[bb, i, pos] * dy[bb, o, t]
@@ -104,22 +103,20 @@ def channel_major(a):
 
 class TestConvOracle:
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("length", [7, 11])
-    def test_fwd_and_bwd_match_loops(self, k, stride, length, rng):
+    def test_fwd_and_bwd_match_loops(self, k, length, rng):
         x = rng.standard_normal((2, 3, length))
         w = rng.standard_normal((4, 3, k))
-        dy = rng.standard_normal((2, 4, kernels.conv_out_len(length, stride)))
-        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, stride),
-                                   naive_conv(x, w, stride), rtol=0, atol=1e-12)
-        dx, dw = kernels.conv1d_bwd(x, w, stride, dy)
-        dx_ref, dw_ref = naive_conv_bwd(x, w, stride, dy)
+        dy = rng.standard_normal((2, 4, length))
+        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, 1), naive_conv(x, w),
+                                   rtol=0, atol=1e-12)
+        dx, dw = kernels.conv1d_bwd(x, w, 1, dy)
+        dx_ref, dw_ref = naive_conv_bwd(x, w, dy)
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-12)
         xc, dyc = channel_major(x), channel_major(dy)
-        np.testing.assert_array_equal(kernels.conv1d_fwd(xc, w, stride),
-                                      kernels.conv1d_fwd(x, w, stride))
-        dxc, dwc = kernels.conv1d_bwd(xc, w, stride, dyc)
+        np.testing.assert_array_equal(kernels.conv1d_fwd(xc, w, 1), kernels.conv1d_fwd(x, w, 1))
+        dxc, dwc = kernels.conv1d_bwd(xc, w, 1, dyc)
         np.testing.assert_array_equal(dxc, dx)
         np.testing.assert_array_equal(dwc, dw)
 
@@ -128,9 +125,9 @@ class TestConvOracle:
         x = rng.standard_normal((1, 2, 2))
         w = rng.standard_normal((3, 2, 5))
         dy = rng.standard_normal((1, 3, 2))
-        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, 1), naive_conv(x, w, 1),
+        np.testing.assert_allclose(kernels.conv1d_fwd(x, w, 1), naive_conv(x, w),
                                    rtol=0, atol=1e-12)
-        for got, ref in zip(kernels.conv1d_bwd(x, w, 1, dy), naive_conv_bwd(x, w, 1, dy)):
+        for got, ref in zip(kernels.conv1d_bwd(x, w, 1, dy), naive_conv_bwd(x, w, dy)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_repeat_call_is_bit_identical(self, rng):
@@ -147,7 +144,7 @@ class TestConvOracle:
 
 
 def naive_upsample_conv(x, w, factor, bias):
-    """Loop oracle for upsample_conv1d_fwd: a same-padded conv that reads the repeated
+    """Loop oracle for conv1d_fwd at `factor`: a same-padded conv that reads the repeated
     input u[j] = x[j // factor] straight from x."""
     b, ci, length = x.shape
     co, _, k = w.shape
@@ -177,8 +174,8 @@ class TestUpsampleConvOracle:
         xin = channel_major(x) if memory == "channel-major" else x
         ref = naive_upsample_conv(x, w, factor, bias)
         for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-            got = kernels.upsample_conv1d_fwd(xin.astype(dtype), w.astype(dtype), factor,
-                                              bias.astype(dtype))
+            got = kernels.conv1d_fwd(xin.astype(dtype), w.astype(dtype), 1, bias.astype(dtype),
+                                     factor)
             plain = kernels.conv1d_fwd(kernels.upsample1d(xin.astype(dtype), factor),
                                        w.astype(dtype), 1, bias.astype(dtype))
             assert got.dtype == dtype and got.shape == (2, 4, factor * length)
@@ -203,8 +200,8 @@ class TestUpsampleConvOracle:
         du, dw_ref = kernels.conv1d_bwd(kernels.upsample1d(x, factor), w, 1, dy)
         dx_ref = sum(du[:, :, r::factor] for r in range(factor))
         for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-            dx, dw = kernels.upsample_conv1d_bwd(x.astype(dtype), w.astype(dtype), factor,
-                                                 dy.astype(dtype))
+            dx, dw = kernels.conv1d_bwd(x.astype(dtype), w.astype(dtype), 1, dy.astype(dtype),
+                                        factor)
             assert dx.dtype == dw.dtype == dtype
             assert dx.shape == x.shape and dw.shape == w.shape
             assert dx.swapaxes(0, 1).flags.c_contiguous

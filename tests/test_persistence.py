@@ -310,6 +310,12 @@ class TestModelCheckpoint:
         save_model(b, model)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_refuses_a_model_that_is_not_float32(self, tmp_path):
+        p = tmp_path / "m.ecgv"
+        with pytest.raises(ValueError, match="the model is float64"):
+            save_model(p, VaeModel.build(COMPACT, seed=1, dtype=np.float64))
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_tensor_byte(self, tmp_path):
         model = VaeModel.build(COMPACT, seed=1)
         p = tmp_path / "m.ecgv"
