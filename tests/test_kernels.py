@@ -37,6 +37,21 @@ class TestConvForward:
         with pytest.raises(ValueError, match="stride 1 only"):
             kernels.conv1d_bwd(x, w, stride, x)
 
+    @pytest.mark.parametrize("length,factor", [(400, 1), (400, 2), (401, 2), (7, 3), (1, 1)])
+    def test_output_length_is_factor_times_input(self, length, factor, rng):
+        # no kernel takes a length: each reads it from x, and the backward pass from dy
+        x = rng.standard_normal((2, 3, length)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 5)).astype(np.float32)
+        y = kernels.conv1d_fwd(x, w, 1, None, factor)
+        assert y.shape == (2, 4, factor * length)
+        dx, dw = kernels.conv1d_bwd(x, w, 1, y, factor)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        yc, cols = kernels.conv1d_cols(x.swapaxes(0, 1), w, None, factor)
+        assert yc.shape == (4, 2, factor * length)
+        assert cols.shape == (3 * kernels.phase_width(5, factor), 2 * length)
+        dxc, _ = kernels.conv1d_cols_bwd(cols, w, yc, factor)
+        assert dxc.shape == (3, 2, length)
+
     def test_width_one_kernel_is_channel_mix(self, rng):
         x = rng.standard_normal((2, 3, 10)).astype(np.float64)
         w = rng.standard_normal((4, 3, 1)).astype(np.float64)
