@@ -2,8 +2,9 @@
 
     python3 benchmarks/pairs.py --a ../parent --b . --workload score --pairs 10
 
---a and --b are two checkouts (e.g. the parent commit from `git archive`,
-and the working tree). Pair i runs `perfbench/run.py --seed i` once in each,
+--a and --b are two checkouts (e.g. the parent commit checked out with
+`git worktree add --detach ../parent <parent-sha>` or a `git clone`, and the
+working tree). Pair i runs `perfbench/run.py --seed i` once in each,
 each from its own root, one process at a time; odd pairs run A first and even
 pairs B first, so a drift in machine speed during the series falls on both
 sides instead of reading as an effect. For every metric it prints each side's
@@ -47,11 +48,18 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def commit(root: Path) -> dict:
-    """HEAD of the checkout at root and whether its files differ from it; nulls if no git."""
+    """HEAD of the checkout at root and whether its files differ from it.
+
+    Nulls unless root is the top of a git work tree: an unpacked tree that sits
+    inside another repository would otherwise report that repository's HEAD.
+    """
     def git(*args: str) -> str | None:
         proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
 
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != Path(root).resolve():
+        return {"commit": None, "dirty": None}
     head = git("rev-parse", "HEAD")
     return {"commit": head, "dirty": None if head is None else bool(git("status", "--porcelain"))}
 

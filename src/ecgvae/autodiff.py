@@ -3,6 +3,11 @@
 A Tensor wraps an ndarray plus a backward closure and its parents; calling
 backward() on a scalar loss walks the recorded graph in reverse topological
 order and accumulates gradients into every tensor that requires them.
+A graph is backpropagated once. As the walk leaves an op node it drops the
+node's closure, and with it what the closure held (im2col columns, masks,
+pooling routes), and the node's gradient; so after backward() only leaves
+hold gradients, and a second backward() through the node raises StateError.
+Nodes keep their data and parents, so the graph can still be walked.
 An op records itself on this tape only when one of its inputs requires grad
 and recording is on; otherwise its output is a plain constant with no
 parents. `recording(False)` turns the tape off for a block, and
@@ -109,7 +114,7 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph, and release it."""
         if self.data.size != 1:
             raise StateError("backward() requires a scalar loss tensor")
         topo: list[Tensor] = []
@@ -122,6 +127,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise StateError(f"backward() already ran through op '{node.op}'; "
+                                 "build the graph again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -129,8 +137,13 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            # the closure held what only this walk needed (columns, masks, pool routes)
+            node._backward = _released
+            node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -142,6 +155,11 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
+
+
+def _released(g: np.ndarray) -> None:
+    """Stands in for the backward closure of a node that backward() has walked."""
+    raise StateError("backward() already ran through this op; build the graph again")
 
 
 def _coerce(value, dtype) -> Tensor:

@@ -61,6 +61,24 @@ class EpochStats:
     eval_kl: float
 
 
+def _step(model: VaeModel, adam: Adam, x: Tensor, noise: Tensor,
+          beta: float) -> tuple[float, float]:
+    """One Adam update on a batch; returns its recon and KL losses.
+
+    The step's graph lives only in this frame, so none of it is bound while
+    the next step runs its forward pass.
+    """
+    mu, lv = model.encode(x, train=True)
+    z = mu + ad.exp(lv * 0.5) * noise
+    recon = recon_node(x, model.decode(z, train=True))
+    kl = kl_node(mu, lv)
+    loss = recon + kl * beta
+    adam.zero_grad()
+    loss.backward()
+    adam.step()
+    return recon.item(), kl.item()
+
+
 def _eval_pass(model: VaeModel, cycles: np.ndarray) -> tuple[float, float]:
     """Eval-mode recon (decoding the posterior mean) and KL over a split."""
     mu, lv = encode_batch(model, cycles)
@@ -116,21 +134,13 @@ def train(
             x = Tensor(train_cycles[idx])
             noise = Tensor(rng.standard_normal((idx.size, latent), dtype=np.float32))
             try:
-                mu, lv = model.encode(x, train=True)
-                z = mu + ad.exp(lv * 0.5) * noise
-                x_hat = model.decode(z, train=True)
-                recon = recon_node(x, x_hat)
-                kl = kl_node(mu, lv)
-                loss = recon + kl * config.beta_kl
-                adam.zero_grad()
-                loss.backward()
-                adam.step()
+                recon, kl = _step(model, adam, x, noise, config.beta_kl)
             except NumericsError as e:
                 raise NumericsError(
                     f"training diverged at epoch {epoch} batch {lo // config.batch_size}: {e}"
                 ) from e
-            recon_sum += recon.item() * idx.size
-            kl_sum += kl.item() * idx.size
+            recon_sum += recon * idx.size
+            kl_sum += kl * idx.size
             n_seen += idx.size
         try:
             eval_recon, eval_kl = _eval_pass(model, eval_cycles)

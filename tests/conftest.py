@@ -58,6 +58,19 @@ def max_grad_rel_err(build_loss, tensors, n_per_tensor=None, rng=None) -> float:
     return worst
 
 
+def graph_nodes(out) -> list:
+    """Every tensor recorded on the tape behind `out`, leaves and `out` included."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
+
+
 def old_format_manifest(blob: bytes) -> bytes:
     """A checkpoint manifest as written while kernel width, pool width, upsample factor,
     batch-norm momentum/eps and the eval hold-out were settable: config keys and layer fields

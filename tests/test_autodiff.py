@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import max_grad_rel_err
+from conftest import graph_nodes, max_grad_rel_err
 from ecgvae import autodiff as ad
 from ecgvae import kernels
 from ecgvae.autodiff import Tensor
@@ -244,6 +244,110 @@ class TestGraphSemantics:
         b = Tensor(np.zeros(3, dtype=np.float64))
         with pytest.raises(ValueError):
             ad.add(a, b)
+
+
+def _walk_keeping_the_graph(loss):
+    """backward() as it ran before it released the graph: the same topological order,
+    every closure and interior grad left in place."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _small_graph():
+    """A conv, a fused batch norm, a pool and a node with two consumers, on float64."""
+    rng = np.random.default_rng(21)
+    x, w, b = leaf(rng, (3, 2, 8)), leaf(rng, (4, 2, 3)), leaf(rng, (4,))
+    gamma, beta = leaf(rng, (4,)), leaf(rng, (4,))
+    c = Tensor(rng.standard_normal((3, 4, 8)))
+    h = ad.conv1d(x, w, b)
+    y, _, _ = ad.batch_norm(h, gamma, beta, 1e-5, relu=True)
+    loss = ad.reduce_mean(ad.square(ad.maxpool1d(y + h * c, 2)))
+    return loss, [x, w, b, gamma, beta], c
+
+
+def _model_graph():
+    """The loss training.train builds, on the default model in train mode."""
+    from ecgvae.model import VaeModel, kl_node, recon_node
+    from ecgvae.training import DEFAULT_BETA_KL
+
+    model = VaeModel.build(seed=0)
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((4, 400)).astype(np.float32))
+    noise = Tensor(rng.standard_normal((4, 25)).astype(np.float32))
+    mu, lv = model.encode(x, train=True)
+    z = mu + ad.exp(lv * 0.5) * noise
+    loss = recon_node(x, model.decode(z, train=True)) + kl_node(mu, lv) * DEFAULT_BETA_KL
+    return loss, [p for _, p in model.named_parameters()], x
+
+
+class TestGraphRelease:
+    """backward() frees each op node once it has passed its gradient on."""
+
+    @pytest.mark.parametrize("build", [_small_graph, _model_graph])
+    def test_leaves_keep_the_grads_a_kept_graph_gives(self, build):
+        loss, leaves, _ = build()
+        _walk_keeping_the_graph(loss)
+        want = [p.grad.copy() for p in leaves]
+        loss, leaves, const = build()
+        loss.backward()
+        for p, g in zip(leaves, want):
+            assert p.grad.dtype == g.dtype and p.grad.shape == g.shape
+            assert p.grad.tobytes() == g.tobytes()
+        assert const.grad is None and const._backward is None
+
+    @pytest.mark.parametrize("build", [_small_graph, _model_graph])
+    def test_interior_nodes_are_released(self, build):
+        loss, leaves, _ = build()
+        nodes = graph_nodes(loss)
+        loss.backward()
+        interior = [t for t in nodes if t._parents]  # ops recorded on the tape
+        assert loss in interior and len(interior) > 5
+        for t in interior:
+            assert t.grad is None, f"{t.op} kept its grad"
+            assert t._backward is ad._released, f"{t.op} kept its closure"
+        for t in nodes:
+            if not t._parents:  # leaves and constants: no closure, grad only if required
+                assert t._backward is None
+                assert (t.grad is not None) == t.requires_grad, t.op
+        assert all(p.grad is not None for p in leaves)
+
+    def test_released_graph_keeps_its_nodes(self):
+        loss, _, _ = _model_graph()
+        loss.backward()
+        assert len(graph_nodes(loss)) == 135  # perfbench's autodiff.tape_nodes
+
+    def test_second_backward_names_the_op(self):
+        loss, leaves, _ = _small_graph()
+        loss.backward()
+        before = [p.grad.copy() for p in leaves]
+        with pytest.raises(StateError, match=r"already ran through op 'mean'"):
+            loss.backward()
+        for p, g in zip(leaves, before):  # refused before any gradient moved
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_new_graph_over_a_walked_node_is_refused(self, rng):
+        x = leaf(rng, (5,))
+        y = ad.exp(x)
+        ad.reduce_sum(y).backward()
+        with pytest.raises(StateError, match=r"already ran through op 'exp'"):
+            ad.reduce_sum(y * 2.0).backward()
+
+    def test_released_closure_raises_if_called(self, rng):
+        with pytest.raises(StateError, match="already ran"):
+            ad._released(np.ones(1))
 
 
 class TestNumericsGuard:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import max_grad_rel_err
+from conftest import graph_nodes, max_grad_rel_err
 from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
@@ -232,22 +232,9 @@ def _c_order_nodes(monkeypatch) -> None:
     monkeypatch.setattr(ad, "_node", c_order_node)
 
 
-def _graph(out: Tensor) -> list[Tensor]:
-    """Every tensor recorded on the tape behind `out`, leaves and `out` included."""
-    nodes, stack, seen = [], [out], set()
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        nodes.append(t)
-        stack.extend(t._parents)
-    return nodes
-
-
 def _tape(out: Tensor) -> list[Tensor]:
     """Every op output recorded on the tape behind `out`, `out` included."""
-    return [t for t in _graph(out) if t.op != "leaf"]
+    return [t for t in graph_nodes(out) if t.op != "leaf"]
 
 
 class TestChannelMajorChains:
@@ -309,13 +296,19 @@ class TestChannelMajorChains:
         x = np.random.default_rng(7).standard_normal(in_shape).astype(np.float32)
         for train in (True, False):
             out = seq(Tensor(x, requires_grad=True), train=train)
+            nodes = [t for t in _tape(out) if t.data.ndim == 3 and t.data.shape[1] >= 2]
+            # backward() drops interior grads, so record each gradient as its closure gets it
+            grads = {}
             if train:
+                for t in nodes:
+                    def seen(g, t=t, bwd=t._backward):
+                        grads[id(t)] = g
+                        bwd(g)
+                    t._backward = seen
                 ad.reduce_sum(out).backward()
             checked = 0
-            for t in _tape(out):
-                if t.data.ndim != 3 or t.data.shape[1] < 2:
-                    continue
-                arrays = {"data": t.data, "grad": t.grad} if train else {"data": t.data}
+            for t in nodes:
+                arrays = {"data": t.data, "grad": grads.get(id(t))} if train else {"data": t.data}
                 for what, a in arrays.items():
                     assert a is not None, f"{t.op} {t.data.shape} has no {what}"
                     assert a.swapaxes(0, 1).flags.c_contiguous, \
@@ -479,7 +472,7 @@ class TestStepList:
             "batch_norm": 15, "dense": 10, "conv1d": 9, "maxpool1d": 4, "reshape": 4,
             "mul": 4, "add": 3, "sub": 3, "concat": 2, "exp": 2, "square": 2,
             "upsample1d": 1, "mean": 1, "sum": 1}
-        assert len(_graph(loss)) == 135  # perfbench's autodiff.tape_nodes
+        assert len(graph_nodes(loss)) == 135  # perfbench's autodiff.tape_nodes
 
     def test_refused_input_raises_from_the_fused_pass(self, trained, monkeypatch):
         fused = Sequential._fused_eval

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,46 @@ class TestVerdict:
         assert verdict(ones, ones, "higher", 0.01) == "held"
         assert verdict(ones, [0.9] + [1.0] * 9, "higher", 0.01) == "held"
         assert verdict(ones, [0.98] * 10, "higher", 0.01) == "regressed"
+
+
+def git(cwd: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=cwd, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+class TestCommit:
+    @pytest.fixture
+    def repo(self, tmp_path):
+        root = tmp_path / "repo"
+        root.mkdir()
+        git(root, "init", "-q")
+        (root / "f.txt").write_text("one\n")
+        git(root, "add", "f.txt")
+        git(root, "commit", "-q", "-m", "one")
+        first = git(root, "rev-parse", "HEAD")
+        (root / "f.txt").write_text("two\n")
+        git(root, "commit", "-q", "-am", "two")
+        return root, first
+
+    def test_worktree_of_the_parent_gives_its_head(self, repo, tmp_path):
+        root, first = repo
+        parent = tmp_path / "parent"
+        git(root, "worktree", "add", "-q", "--detach", str(parent), first)
+        assert pairs.commit(parent) == {"commit": first, "dirty": False}
+        assert pairs.commit(root) == {"commit": git(root, "rev-parse", "HEAD"), "dirty": False}
+        (parent / "f.txt").write_text("edited\n")
+        assert pairs.commit(parent) == {"commit": first, "dirty": True}
+
+    def test_unpacked_tree_inside_a_repo_gives_nulls(self, repo):
+        root, _ = repo
+        nested = root / "parent"
+        nested.mkdir()
+        (nested / "f.txt").write_text("one\n")
+        assert pairs.commit(nested) == {"commit": None, "dirty": None}
+
+    def test_directory_outside_any_repo_gives_nulls(self, tmp_path):
+        assert pairs.commit(tmp_path) == {"commit": None, "dirty": None}
 
 
 def synthetic_run(seed: int, shift: float) -> dict:

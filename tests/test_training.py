@@ -1,10 +1,13 @@
-"""Training loop behavior: determinism, progress, splits, validation."""
+"""Training loop behavior: determinism, progress, splits, validation, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import COMPACT
 from ecgvae import training
+from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
 from ecgvae.training import EVAL_FRACTION, TrainConfig, mean_cycle_baseline, train
 
@@ -122,6 +125,35 @@ class TestValidation:
         with pytest.raises(NumericsError,
                            match=r"^training diverged at epoch 0 eval pass: .*'conv1d'"):
             train(bump_dataset(16), TrainConfig(seed=0, epochs=1, batch_size=8), COMPACT)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_step_count(self, monkeypatch):
+        # the default model at batch 64: 80 cycles train one step, 640 train eight
+        data = bump_dataset(640, length=400, seed=2)
+        cfg = TrainConfig(seed=0, epochs=1)
+        train(data[:80], cfg)  # first-call allocations (caches, lazy imports) stay outside
+        held = []  # traced memory as each backward() starts: the step's forward graph and all
+        backward = Tensor.backward
+
+        def traced_backward(loss):
+            held.append(tracemalloc.get_traced_memory()[0])
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", traced_backward)
+        peaks = []
+        for n in (80, 640):
+            tracemalloc.start()
+            try:
+                train(data[:n], cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        mb = [f"{v / 1e6:.1f}" for v in (min(held), *peaks)]
+        # nothing of a step is left bound while the next step runs
+        assert peaks[1] < 1.1 * peaks[0], f"held {mb[0]} MB, peaks {mb[1]} -> {mb[2]} MB"
+        # backward() frees closures and interior grads as it walks: they would add ~50%
+        assert peaks[1] < 1.25 * min(held), f"held {mb[0]} MB, peaks {mb[1]} -> {mb[2]} MB"
 
 
 class TestMeanCycleBaseline:
