@@ -7,7 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from ecgvae.model import ModelConfig
+from ecgvae import autodiff as ad
+from ecgvae.autodiff import Tensor
+from ecgvae.model import ModelConfig, kl_node, recon_node
+from ecgvae.training import DEFAULT_BETA_KL
 
 # small architecture with the same block pattern; keeps gradient checks and training fast
 COMPACT = ModelConfig(
@@ -69,6 +72,16 @@ def graph_nodes(out) -> list:
         nodes.append(t)
         stack.extend(t._parents)
     return nodes
+
+
+def training_loss(model):
+    """The loss training.train builds, on 4 seeded random cycles with the model in train mode."""
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((4, model.config.input_len)).astype(np.float32))
+    noise = Tensor(rng.standard_normal((4, model.config.latent_dim)).astype(np.float32))
+    mu, lv = model.encode(x, train=True)
+    z = mu + ad.exp(lv * 0.5) * noise
+    return recon_node(x, model.decode(z, train=True)) + kl_node(mu, lv) * DEFAULT_BETA_KL
 
 
 def old_format_manifest(blob: bytes) -> bytes:

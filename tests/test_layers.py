@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import graph_nodes, max_grad_rel_err
+from conftest import graph_nodes, max_grad_rel_err, training_loss
 from ecgvae import autodiff as ad
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
@@ -19,8 +19,8 @@ from ecgvae.layers import (
     UpsampleNearest1d,
     he_uniform,
 )
-from ecgvae.model import VaeModel, kl_node, recon_node
-from ecgvae.training import DEFAULT_BETA_KL, TrainConfig, train
+from ecgvae.model import VaeModel
+from ecgvae.training import TrainConfig, train
 
 TOL = 1e-4
 
@@ -301,10 +301,10 @@ class TestChannelMajorChains:
             grads = {}
             if train:
                 for t in nodes:
-                    def seen(g, t=t, bwd=t._backward):
+                    def record(g, t=t, bwd=t._backward):
                         grads[id(t)] = g
                         bwd(g)
-                    t._backward = seen
+                    t._backward = record
                 ad.reduce_sum(out).backward()
             checked = 0
             for t in nodes:
@@ -460,14 +460,7 @@ class TestStepList:
             Sequential(seq.layers[4:])(Tensor(np.ones((2, 3, 8), dtype=np.float32)))
 
     def test_training_loss_records_the_grouped_ops(self):
-        # the loss training.train builds, on the default model
-        model = VaeModel.build(seed=0)
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((4, 400)).astype(np.float32))
-        noise = Tensor(rng.standard_normal((4, 25)).astype(np.float32))
-        mu, lv = model.encode(x, train=True)
-        z = mu + ad.exp(lv * 0.5) * noise
-        loss = recon_node(x, model.decode(z, train=True)) + kl_node(mu, lv) * DEFAULT_BETA_KL
+        loss = training_loss(VaeModel.build(seed=0))
         assert Counter(t.op for t in _tape(loss)) == {
             "batch_norm": 15, "dense": 10, "conv1d": 9, "maxpool1d": 4, "reshape": 4,
             "mul": 4, "add": 3, "sub": 3, "concat": 2, "exp": 2, "square": 2,

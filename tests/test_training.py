@@ -149,11 +149,11 @@ class TestMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        mb = [f"{v / 1e6:.1f}" for v in (min(held), *peaks)]
+        msg = f"held {min(held) / 1e6:.1f} MB, peaks {peaks[0] / 1e6:.1f} -> {peaks[1] / 1e6:.1f} MB"
         # nothing of a step is left bound while the next step runs
-        assert peaks[1] < 1.1 * peaks[0], f"held {mb[0]} MB, peaks {mb[1]} -> {mb[2]} MB"
+        assert peaks[1] < 1.1 * peaks[0], msg
         # backward() frees closures and interior grads as it walks: they would add ~50%
-        assert peaks[1] < 1.25 * min(held), f"held {mb[0]} MB, peaks {mb[1]} -> {mb[2]} MB"
+        assert peaks[1] < 1.25 * min(held), msg
 
 
 class TestMeanCycleBaseline:
