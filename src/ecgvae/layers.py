@@ -16,12 +16,14 @@ memory, and the layers after it keep that memory order.
 Sequential reads its layer list once, at construction, into steps (up,
 layer, norm, relu): a Conv1d or Dense with the BatchNorm1d of its width
 after it and a ReLU after that, and an UpsampleNearest1d right before a
-Conv1d as that conv's up. Any other layer is a step of its own, and a batch
-norm or ReLU with no conv or dense before it is a step with no layer. The
-layer list, and with it the checkpoint layout, stays as written. Each conv
-step is one conv call with its up's factor, or factor 1 with no up: a plain
-conv is the factor-1 polyphase convolution, and above 1 the upsampled
-activation is never formed. Op by op (training, or the tape on) that call
+Conv1d as that conv's up. Any other layer is a step of its own. That is the
+only order the layer table writes, so a misplaced norm or ReLU is refused at
+construction: a BatchNorm1d that does not follow a Conv1d or Dense of its
+width, or a ReLU that does not follow such a norm, raises ValueError naming
+its index and kind. The layer list, and with it the checkpoint layout, stays
+as written. Each conv step is one conv call with its up's factor, or factor
+1 with no up: a plain conv is the factor-1 polyphase convolution, and above
+1 the upsampled activation is never formed. Op by op (training, or the tape on) that call
 is ad.conv1d, and a norm runs as one batch_norm op with its ReLU fused in.
 In eval mode with the tape off (model.encode/decode), the steps run as one
 numpy pass, where the call is kernels.conv1d_fwd: each norm folds into its
@@ -29,11 +31,11 @@ conv or dense, w' = w * s and b' = (b - mean) * s + beta with
 s = gamma / sqrt(var + eps) as batch_norm computes it (refolded on every
 call, so no weight is cached), the ReLU runs in place, and each layer checks
 its input by its op's own rule (ad.check_*), so a refused input raises the
-op's error. Only the chain's output is checked for NaN/Inf. A non-finite
-output, a step with no layer or a parameter dtype other than the input's
-runs the chain op by op instead, which returns its result or raises the
-error that names the op. The fused result matches the per-op one to about
-1e-6 relative.
+op's error. Only the chain's output is checked for NaN/Inf. The fused pass
+falls back for two reasons, a non-finite output or a parameter dtype other
+than the input's: then the chain runs op by op, which returns its result or
+raises the error that names the op. The fused result matches the per-op
+one to about 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -199,19 +201,17 @@ class Sequential(Layer):
         for up, layer, norm, relu in self.steps:
             if isinstance(layer, Conv1d):
                 x = ad.conv1d(x, layer.weight, layer.bias, 1 if up is None else up.factor)
-            elif layer is not None:
+            else:
                 x = layer(x, train=train)
             if norm is not None:
                 x = norm.forward(x, train=train, relu=relu is not None)
-            elif relu is not None:
-                x = ad.relu(x)
         return x
 
     def _fused_eval(self, x: np.ndarray) -> Optional[np.ndarray]:
         """The eval-mode chain on x as one numpy pass; None where the per-op path must run.
 
-        That is a step with no layer, a parameter dtype that differs from x's
-        (the per-op path mixes dtypes as its ops do), or a non-finite output
+        That is a parameter dtype that differs from x's (the per-op path
+        mixes dtypes as its ops do), or a non-finite output
         (the per-op path raises the NumericsError naming the op, or returns a
         finite result).
         """
@@ -219,8 +219,6 @@ class Sequential(Layer):
             return None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for up, layer, norm, relu in self.steps:
-                if layer is None:
-                    return None
                 if isinstance(layer, MaxPool1d):
                     ad.check_pool(x, layer.width)
                     x = kernels.maxpool1d(x, layer.width)
@@ -260,7 +258,11 @@ class Sequential(Layer):
 
 
 def _steps(layers: list[Layer]) -> list[tuple]:
-    """The chain's (up, layer, norm, relu) steps, as the module docstring describes them."""
+    """The chain's (up, layer, norm, relu) steps, as the module docstring describes them.
+
+    ValueError, naming the layer's index and kind, for a BatchNorm1d that does not
+    follow a Conv1d or Dense of its width, or a ReLU that does not follow such a norm.
+    """
     steps, rest = [], list(layers)
 
     def take(kind, fits=lambda _: True) -> Optional[Layer]:
@@ -268,12 +270,13 @@ def _steps(layers: list[Layer]) -> list[tuple]:
 
     while rest:
         up = take(UpsampleNearest1d, lambda _: len(rest) > 1 and isinstance(rest[1], Conv1d))
-        layer = None if isinstance(rest[0], (BatchNorm1d, ReLU)) else rest.pop(0)
+        at, layer = len(layers) - len(rest), rest.pop(0)
+        if isinstance(layer, (BatchNorm1d, ReLU)):
+            raise ValueError(f"layer {at} ({type(layer).__name__}) is misplaced: a BatchNorm1d "
+                             "follows a Conv1d or Dense of its width, and a ReLU such a norm")
         norm = relu = None
-        if layer is None or isinstance(layer, (Conv1d, Dense)):
-            # a batch norm of another width stays apart, for batch_norm to refuse op by op
-            norm = take(BatchNorm1d, lambda bn: layer is None
-                        or bn.gamma.data.shape[0] == layer.weight.data.shape[0])
-            relu = take(ReLU)
+        if isinstance(layer, (Conv1d, Dense)):
+            norm = take(BatchNorm1d, lambda bn: bn.gamma.shape == layer.bias.shape)
+            relu = take(ReLU) if norm is not None else None
         steps.append((up, layer, norm, relu))
     return steps

@@ -8,9 +8,9 @@ decoder mirrors it: a dense branch straight to 400 samples and a conv branch
 that upsamples the latent code back to length 400, concatenated into an
 800-vector and projected to the output cycle.
 
-Loss pieces live here as plain-array helpers (kl_loss, recon_loss) and as
-graph builders used by the trainer; a unit test pins the two against each
-other so they cannot drift apart.
+The two loss terms have one definition each, kl_node and recon_node. They
+build the loss that training optimizes, and on float64 constants they give
+the eval numbers: the loss CSV's eval columns and the mean-cycle baseline.
 """
 
 from __future__ import annotations
@@ -256,42 +256,22 @@ class VaeModel:
 
 
 # ---------------------------------------------------------------------------
-# losses: plain-array helpers and graph builders
-
-
-def kl_loss(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """KL(N(mu, diag exp(logvar)) || N(0, I)) summed over features.
-
-    Closed form per feature: (mu^2 + e^lv - lv - 1) / 2. For batched input
-    the result is the mean over rows.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise DimensionError(f"mu {mu.shape} and logvar {logvar.shape} differ")
-    per = 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=-1)
-    return float(np.mean(per))
-
-
-def recon_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean squared error averaged over every sample of every cycle."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise DimensionError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    d = x - x_hat
-    return float(np.mean(d * d))
+# losses
 
 
 def kl_node(mu: Tensor, logvar: Tensor) -> Tensor:
-    """Graph version of kl_loss: batch mean of per-row summed KL."""
+    """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over features, mean over rows.
+
+    Closed form per feature: (mu^2 + e^lv - lv - 1) / 2. mu and logvar are
+    [rows, features]: axis 0 counts the rows.
+    """
     b = mu.data.shape[0]
     per_element = ad.square(mu) + ad.exp(logvar) - logvar - 1.0
     return ad.reduce_sum(per_element) * (0.5 / b)
 
 
 def recon_node(x: Tensor, x_hat: Tensor) -> Tensor:
-    """Graph version of recon_loss."""
+    """Mean squared error averaged over every sample of every cycle."""
     return ad.reduce_mean(ad.square(x_hat - x))
 
 

@@ -145,7 +145,11 @@ def gen_cycle(params: MorphologyParams = MorphologyParams(),
 
 def _beat_positions(params: MorphologyParams, n_samples: int,
                     fs: float, rng: np.random.Generator) -> np.ndarray:
-    """R-peak sample positions: first at interval/2, then jittered intervals."""
+    """R-peak sample positions: first at interval/2, then jittered intervals.
+
+    The last can round to n_samples, one past the end; callers keep it for
+    rendering and drop it from the truth they return.
+    """
     base = 60.0 / params.heart_rate_bpm * fs
     positions = []
     r = base / 2.0
@@ -168,12 +172,16 @@ def _record_samples(duration_s: float, fs: float, n_leads: int) -> int:
 
 def gen_record(params: MorphologyParams = MorphologyParams(), duration_s: float = 10.0,
                fs: float = DEFAULT_FS, record_id: str = "") -> tuple[EcgRecord, np.ndarray]:
-    """A single-lead strip of `duration_s` seconds plus its true R positions."""
+    """A single-lead strip of `duration_s` seconds plus its true R positions.
+
+    The positions are those inside the strip; a beat whose R falls at or past
+    its end is still drawn, for its leading flank.
+    """
     n = _record_samples(duration_s, fs, 1)
     rng = np.random.default_rng(params.seed)
     positions = _beat_positions(params, n, fs, rng)
     lead = _noisy(_render([params], [positions], n, fs)[0], params.noise_std, rng)
-    return EcgRecord(lead[None, :], fs, record_id), positions
+    return EcgRecord(lead[None, :], fs, record_id), positions[positions < n]
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,7 @@ def gen_corpus(n_records: int, seed: int, ranges: ParamRanges = ParamRanges(),
 
     Extra leads share the beat timing of lead 0 but redraw amplitude scales
     and noise, like projections of one rhythm onto different electrodes.
-    Returns (record, true_r_positions) pairs.
+    Returns (record, true_r_positions) pairs, the positions as gen_record's.
     """
     if n_records < 1:
         raise ValueError(f"n_records must be >= 1, got {n_records}")
@@ -269,5 +277,5 @@ def gen_corpus(n_records: int, seed: int, ranges: ParamRanges = ParamRanges(),
         for i, (rng, positions, leads) in enumerate(batch):
             rows = signals[i * n_leads:(i + 1) * n_leads]
             record = np.stack([_noisy(row, p.noise_std, rng) for row, p in zip(rows, leads)])
-            out.append((EcgRecord(record, fs, record_id=f"rec_{at + i:04d}"), positions))
+            out.append((EcgRecord(record, fs, f"rec_{at + i:04d}"), positions[positions < n]))
     return out

@@ -16,8 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import as_cycle_array
 from .errors import DimensionError, NumericsError
-from .model import (ModelConfig, VaeModel, decode_batch, encode_batch, kl_loss, kl_node,
-                    recon_loss, recon_node)
+from .model import ModelConfig, VaeModel, decode_batch, encode_batch, kl_node, recon_node
 from .optim import Adam
 
 # Reconstruction is a per-sample mean over 400 points (order 1e-3 mV^2) while
@@ -80,9 +79,14 @@ def _step(model: VaeModel, adam: Adam, x: Tensor, noise: Tensor,
 
 
 def _eval_pass(model: VaeModel, cycles: np.ndarray) -> tuple[float, float]:
-    """Eval-mode recon (decoding the posterior mean) and KL over a split."""
+    """Eval-mode recon (decoding the posterior mean) and KL over a split, in float64.
+
+    The arrays enter the loss functions as constants, so no tape is recorded.
+    """
     mu, lv = encode_batch(model, cycles)
-    return recon_loss(cycles, decode_batch(model, mu)), kl_loss(mu, lv)
+    x, x_hat, mu, lv = (Tensor(a.astype(np.float64))
+                        for a in (cycles, decode_batch(model, mu), mu, lv))
+    return recon_node(x, x_hat).item(), kl_node(mu, lv).item()
 
 
 def train(
@@ -168,8 +172,6 @@ def train(
 
 def mean_cycle_baseline(train_cycles, eval_cycles) -> float:
     """MSE of always predicting the training set's mean cycle, on eval data."""
-    train_arr = as_cycle_array(train_cycles)
-    eval_arr = as_cycle_array(eval_cycles)
-    mean_cycle = train_arr.mean(axis=0, dtype=np.float64)
-    d = eval_arr.astype(np.float64) - mean_cycle[None, :]
-    return float(np.mean(d * d))
+    mean_cycle = as_cycle_array(train_cycles).mean(axis=0, dtype=np.float64)
+    eval_arr = as_cycle_array(eval_cycles).astype(np.float64)
+    return recon_node(Tensor(eval_arr), Tensor(np.broadcast_to(mean_cycle, eval_arr.shape))).item()

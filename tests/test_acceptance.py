@@ -20,7 +20,7 @@ from ecgvae.autodiff import Tensor
 from ecgvae.cli import main
 from ecgvae.layers import BatchNorm1d, Conv1d, Dense, MaxPool1d, UpsampleNearest1d
 from ecgvae.metrics import mmd2_biased, compare_sets
-from ecgvae.model import VaeModel, kl_loss, kl_node, recon_node
+from ecgvae.model import VaeModel, kl_node, recon_node
 from ecgvae.persistence import load_dataset, load_model, save_dataset
 from ecgvae.preprocess import detect_r_peaks, preprocess_records
 from ecgvae.synth import ParamRanges, gen_corpus
@@ -178,11 +178,11 @@ def test_criterion_3_kl_against_numerical_integration(capsys):
             q = np.exp(log_q)
             integrand = np.where(q > 1e-300, q * (log_q - log_p), 0.0)
             numeric = float(simpson(integrand, x=z))
-            closed = kl_loss(np.array([mu]), np.array([lv]))
+            closed = kl_node(Tensor(np.array([[mu]])), Tensor(np.array([[lv]]))).item()
             worst = max(worst, abs(closed - numeric))
     ok = worst < 1e-6
     report(capsys, 3, ok,
-           f"closed-form vs Simpson integral, 17x17 grid, max |diff| "
+           f"kl_node (float64) vs Simpson integral, 17x17 grid, max |diff| "
            f"{worst:.2e} (<1e-6)")
 
 

@@ -105,13 +105,13 @@ def test_calls_bind_to_the_signatures(path):
 @pytest.mark.parametrize("n", [4, 5, 640, 1908])
 def test_train_split_size_matches_train(n, monkeypatch):
     # train_cycles_per_s counts workloads.n_train_split(n) cycles per epoch of train()
-    fitted, recon_node = [], training.recon_node
+    fitted, step = [], training._step
 
-    def recording_recon_node(x, x_hat):
+    def recording_step(model, adam, x, noise, beta):
         fitted.append(x.data.shape[0])
-        return recon_node(x, x_hat)
+        return step(model, adam, x, noise, beta)
 
-    monkeypatch.setattr(training, "recon_node", recording_recon_node)
+    monkeypatch.setattr(training, "_step", recording_step)
     cycles = np.random.default_rng(n).standard_normal((n, COMPACT.input_len)).astype(np.float32)
     training.train(cycles, training.TrainConfig(seed=0, epochs=1, batch_size=n), COMPACT)
     assert fitted == [workloads.n_train_split(n)]

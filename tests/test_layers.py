@@ -187,13 +187,14 @@ class TestSequential:
         assert (out.data >= 0).all()
 
     def test_batchnorm_relu_pair_runs_as_one_op(self, rng):
-        bn = BatchNorm1d(3)
-        seq = Sequential([bn, ReLU()])
-        x = Tensor(rng.standard_normal((4, 3, 10)).astype(np.float32))
+        conv, bn = Conv1d(2, 3, 3, rng=rng), BatchNorm1d(3)
+        seq = Sequential([conv, bn, ReLU()])
+        x = Tensor(rng.standard_normal((4, 2, 10)).astype(np.float32))
         for train in (True, False):
             out = seq(x, train=train)
-            assert out.op == "batch_norm" and out._parents[0] is x
-            np.testing.assert_array_equal(out.data, ad.relu(bn(x, train=train)).data)
+            h = out._parents[0]
+            assert out.op == "batch_norm" and h.op == "conv1d" and h._parents[0] is x
+            np.testing.assert_array_equal(out.data, ad.relu(bn(conv(x), train=train)).data)
 
     def test_encoder_shape_algebra_400_to_25(self, rng):
         # four conv/pool halvings then a width-1 collapse: 400 -> 25 x 1 channel
@@ -414,7 +415,7 @@ class TestFusedEval:
         dense = Dense(2, 2, rng=np.random.default_rng(0))
         dense.weight.data[0, 0] = -np.inf
         with ad.recording(False), pytest.raises(NumericsError, match="'dense'"):
-            Sequential([dense, ReLU()])(Tensor(np.ones((3, 2), dtype=np.float32)))
+            Sequential([dense, BatchNorm1d(2), ReLU()])(Tensor(np.ones((3, 2), dtype=np.float32)))
 
     def test_input_a_layer_refuses_still_raises_its_error(self, trained):
         with ad.recording(False):
@@ -448,16 +449,20 @@ class TestStepList:
             assert [layer for step in seq.steps for layer in step if layer is not None] \
                 == seq.layers
 
-    def test_norms_and_relus_without_their_layer_are_steps_of_their_own(self):
-        rng = np.random.default_rng(0)
-        seq = Sequential([BatchNorm1d(3), ReLU(), MaxPool1d(), ReLU(),
-                          Conv1d(3, 4, 3, rng=rng), BatchNorm1d(5), UpsampleNearest1d()])
-        assert _kinds(seq) == [(None, None, "BatchNorm1d", "ReLU"),
-                               (None, "MaxPool1d", None, None), (None, None, None, "ReLU"),
-                               (None, "Conv1d", None, None), (None, None, "BatchNorm1d", None),
-                               (None, "UpsampleNearest1d", None, None)]
-        with ad.recording(False), pytest.raises(DimensionError, match="expected 5 channels"):
-            Sequential(seq.layers[4:])(Tensor(np.ones((2, 3, 8), dtype=np.float32)))
+    @pytest.mark.parametrize("layers,at,kind", [
+        (lambda rng: [BatchNorm1d(3)], 0, "BatchNorm1d"),
+        (lambda rng: [ReLU()], 0, "ReLU"),
+        (lambda rng: [Conv1d(3, 4, 3, rng=rng), BatchNorm1d(5)], 1, "BatchNorm1d"),
+        (lambda rng: [Dense(3, 4, rng=rng), ReLU()], 1, "ReLU"),
+        (lambda rng: [Dense(3, 4, rng=rng), BatchNorm1d(4), ReLU(), ReLU()], 3, "ReLU"),
+        (lambda rng: [Conv1d(3, 4, 3, rng=rng), MaxPool1d(), BatchNorm1d(4)], 2, "BatchNorm1d"),
+        (lambda rng: [UpsampleNearest1d(), BatchNorm1d(3), ReLU()], 1, "BatchNorm1d"),
+    ])
+    def test_norms_and_relus_out_of_place_are_refused(self, layers, at, kind):
+        # the layer table puts each norm after the conv or dense of its width, each ReLU
+        # after such a norm; any other place is refused before anything runs
+        with pytest.raises(ValueError, match=rf"^layer {at} \({kind}\) is misplaced: "):
+            Sequential(layers(np.random.default_rng(0)))
 
     def test_training_loss_records_the_grouped_ops(self):
         loss = training_loss(VaeModel.build(seed=0))

@@ -19,9 +19,7 @@ from ecgvae.model import (
     VaeModel,
     decode_batch,
     encode_batch,
-    kl_loss,
     kl_node,
-    recon_loss,
     recon_node,
     layer_table,
     table_floats,
@@ -189,43 +187,44 @@ class TestTapeFreeEval:
         assert peak < 100e6, f"encode_batch peak {peak / 1e6:.0f} MB"
 
 
+def kl(mu, lv) -> float:
+    """kl_node on float64 constants [rows, features], as the eval pass calls it."""
+    return kl_node(Tensor(np.asarray(mu, dtype=np.float64)),
+                   Tensor(np.asarray(lv, dtype=np.float64))).item()
+
+
+def recon(x, x_hat) -> float:
+    """recon_node on float64 constants, as the eval pass calls it."""
+    return recon_node(Tensor(np.asarray(x, dtype=np.float64)),
+                      Tensor(np.asarray(x_hat, dtype=np.float64))).item()
+
+
 class TestKlLoss:
     def test_hand_values(self):
         # one dim: mu=1, lv=0 -> (1 + 1 - 0 - 1)/2 = 0.5
-        assert np.isclose(kl_loss(np.array([1.0]), np.array([0.0])), 0.5)
+        assert np.isclose(kl([[1.0]], [[0.0]]), 0.5)
         # mu=0, lv=1 -> (e - 1 - 1)/2
-        assert np.isclose(kl_loss(np.array([0.0]), np.array([1.0])),
-                          (np.e - 2.0) / 2.0)
+        assert np.isclose(kl([[0.0]], [[1.0]]), (np.e - 2.0) / 2.0)
         # zero mean, unit variance: exactly zero
-        assert kl_loss(np.zeros(25), np.zeros(25)) == 0.0
+        assert kl(np.zeros((1, 25)), np.zeros((1, 25))) == 0.0
 
     def test_non_negative_on_random_inputs(self, rng):
         for _ in range(50):
-            mu = rng.standard_normal(25) * 2
-            lv = rng.standard_normal(25) * 2
-            assert kl_loss(mu, lv) >= 0.0
+            mu = rng.standard_normal((1, 25)) * 2
+            lv = rng.standard_normal((1, 25)) * 2
+            assert kl(mu, lv) >= 0.0
 
     @pytest.mark.parametrize("mu,lv", [(0.0, 0.0), (1.5, -1.0), (-2.0, 2.0), (0.3, 0.7)])
     def test_matches_numeric_integration(self, mu, lv):
-        closed = kl_loss(np.array([mu]), np.array([lv]))
+        closed = kl([[mu]], [[lv]])
         numeric = kl_by_numeric_integration(mu, lv)
         assert abs(closed - numeric) < 1e-6
 
     def test_batched_input_averages_rows(self, rng):
         mu = rng.standard_normal((8, 25))
         lv = rng.standard_normal((8, 25))
-        rows = [kl_loss(mu[i], lv[i]) for i in range(8)]
-        assert np.isclose(kl_loss(mu, lv), np.mean(rows))
-
-    def test_graph_version_agrees_with_plain(self, rng):
-        mu = rng.standard_normal((6, 25)).astype(np.float64)
-        lv = rng.standard_normal((6, 25)).astype(np.float64)
-        node = kl_node(Tensor(mu), Tensor(lv))
-        assert np.isclose(node.item(), kl_loss(mu, lv), rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            kl_loss(np.zeros(3), np.zeros(4))
+        rows = [kl(mu[i:i + 1], lv[i:i + 1]) for i in range(8)]
+        assert np.isclose(kl(mu, lv), np.mean(rows))
 
 
 class TestReconLoss:
@@ -233,17 +232,11 @@ class TestReconLoss:
         x = np.zeros((1, 400))
         x_hat = np.zeros((1, 400))
         x_hat[0, 0] = 2.0
-        assert np.isclose(recon_loss(x, x_hat), 0.01)  # 4 / 400
+        assert np.isclose(recon(x, x_hat), 0.01)  # 4 / 400
 
     def test_zero_for_identical(self, rng):
         x = rng.standard_normal((3, 400))
-        assert recon_loss(x, x) == 0.0
-
-    def test_graph_version_agrees(self, rng):
-        x = rng.standard_normal((5, 400))
-        y = rng.standard_normal((5, 400))
-        node = recon_node(Tensor(x), Tensor(y))
-        assert np.isclose(node.item(), recon_loss(x, y), rtol=1e-10)
+        assert recon(x, x) == 0.0
 
 
 class TestCycleHelpers:

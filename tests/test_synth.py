@@ -66,7 +66,7 @@ def reference_record(params, duration_s, fs):
     n = int(round(duration_s * fs))
     rng = np.random.default_rng(params.seed)
     positions = synth._beat_positions(params, n, fs, rng)
-    return reference_lead(params, positions, n, fs, rng)[None, :], positions
+    return reference_lead(params, positions, n, fs, rng)[None, :], positions[positions < n]
 
 
 def reference_params(rng, ranges, seed):
@@ -101,7 +101,7 @@ def reference_corpus(n_records, seed, ranges, duration_s, fs, n_leads):
             lead_params = replace(reference_params(master, ranges, rec_seed),
                                   heart_rate_bpm=params.heart_rate_bpm)
             leads.append(reference_lead(lead_params, positions, n, fs, rng))
-        out.append((np.stack(leads), positions))
+        out.append((np.stack(leads), positions[positions < n]))
     return out
 
 
@@ -321,6 +321,15 @@ class TestGenRecord:
         with pytest.raises(ValueError):
             gen_record(MorphologyParams(), duration_s=0.0)
 
+    def test_r_at_the_end_is_drawn_but_not_listed(self):
+        # this seed's third R rounds to sample 1000 of a 1000-sample strip
+        params = MorphologyParams(heart_rate_bpm=75.0, rr_jitter=0.3, seed=424)
+        assert synth._beat_positions(params, 1000, 500.0, np.random.default_rng(424))[-1] == 1000
+        record, positions = gen_record(params, duration_s=2.0)
+        assert positions.tolist() == [200, 659]
+        # its leading flank still rises to the end of the strip
+        assert record.leads[0, -1] > record.leads[0, -60:].mean()
+
 
 class TestCorpus:
     def test_size_ids_and_determinism(self):
@@ -331,6 +340,12 @@ class TestCorpus:
         for (ra, pa), (rb, pb) in zip(corpus_a, corpus_b):
             np.testing.assert_array_equal(ra.leads, rb.leads)
             np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("seed", [101, 2])  # each has one R rounding to sample n
+    def test_positions_lie_inside_the_record(self, seed):
+        corpus = gen_corpus(200, seed=seed)
+        for record, positions in corpus:
+            assert positions.min() >= 0 and positions.max() < record.n_samples, record.record_id
 
     def test_records_vary_within_corpus(self):
         corpus = gen_corpus(3, seed=0)

@@ -9,6 +9,7 @@ from conftest import COMPACT
 from ecgvae import training
 from ecgvae.autodiff import Tensor
 from ecgvae.errors import DimensionError, NumericsError
+from ecgvae.model import VaeModel, decode_batch, encode_batch
 from ecgvae.training import EVAL_FRACTION, TrainConfig, mean_cycle_baseline, train
 
 
@@ -154,6 +155,31 @@ class TestMemory:
         assert peaks[1] < 1.1 * peaks[0], msg
         # backward() frees closures and interior grads as it walks: they would add ~50%
         assert peaks[1] < 1.25 * min(held), msg
+
+
+class TestEvalColumns:
+    """The loss CSV's eval numbers come from kl_node/recon_node in float64; these plain
+    numpy formulas are their oracle."""
+
+    @pytest.mark.parametrize("n", [1, 7, 130])  # 130: three encode_batch calls
+    def test_eval_pass_matches_the_float64_formulas(self, n):
+        model = VaeModel.build(COMPACT, seed=n)
+        cycles = bump_dataset(n, seed=n)
+        mu, lv = encode_batch(model, cycles)
+        c64, xh64 = cycles.astype(np.float64), decode_batch(model, mu).astype(np.float64)
+        mu64, lv64 = mu.astype(np.float64), lv.astype(np.float64)
+        recon, kl = training._eval_pass(model, cycles)
+        assert recon == np.mean((c64 - xh64) ** 2)
+        want_kl = 0.5 * np.mean(np.sum(mu64**2 + np.exp(lv64) - lv64 - 1.0, axis=1))
+        assert kl == pytest.approx(want_kl, rel=1e-12, abs=0.0)
+
+    def test_baseline_matches_the_float64_formula(self):
+        rng = np.random.default_rng(3)
+        train_c = rng.standard_normal((50, 400)).astype(np.float32)
+        eval_c = rng.standard_normal((17, 400)).astype(np.float32)
+        mean = train_c.mean(axis=0, dtype=np.float64)
+        want = np.mean((eval_c.astype(np.float64) - mean) ** 2)
+        assert mean_cycle_baseline(train_c, eval_c) == want
 
 
 class TestMeanCycleBaseline:
