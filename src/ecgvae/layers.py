@@ -23,19 +23,19 @@ width, or a ReLU that does not follow such a norm, raises ValueError naming
 its index and kind. The layer list, and with it the checkpoint layout, stays
 as written. Each conv step is one conv call with its up's factor, or factor
 1 with no up: a plain conv is the factor-1 polyphase convolution, and above
-1 the upsampled activation is never formed. Op by op (training, or the tape on) that call
-is ad.conv1d, and a norm runs as one batch_norm op with its ReLU fused in.
-In eval mode with the tape off (model.encode/decode), the steps run as one
-numpy pass, where the call is kernels.conv1d_fwd: each norm folds into its
-conv or dense, w' = w * s and b' = (b - mean) * s + beta with
+1 the upsampled activation is never formed. Op by op (training, or the tape
+on) that call is ad.conv1d, and a norm runs as one batch_norm op with its
+ReLU fused in. In eval mode with the tape off (model.encode/decode), the
+steps run as one numpy pass, where the call is kernels.conv1d_fwd: each norm
+folds into its conv or dense, w' = w * s and b' = (b - mean) * s + beta with
 s = gamma / sqrt(var + eps) as batch_norm computes it (refolded on every
 call, so no weight is cached), the ReLU runs in place, and each layer checks
 its input by its op's own rule (ad.check_*), so a refused input raises the
 op's error. Only the chain's output is checked for NaN/Inf. The fused pass
 falls back for two reasons, a non-finite output or a parameter dtype other
 than the input's: then the chain runs op by op, which returns its result or
-raises the error that names the op. The fused result matches the per-op
-one to about 1e-6 relative.
+raises the error that names the op. The fused result matches the per-op one
+to about 1e-6 relative.
 """
 
 from __future__ import annotations

@@ -174,8 +174,8 @@ def gen_record(params: MorphologyParams = MorphologyParams(), duration_s: float 
                fs: float = DEFAULT_FS, record_id: str = "") -> tuple[EcgRecord, np.ndarray]:
     """A single-lead strip of `duration_s` seconds plus its true R positions.
 
-    The positions are those inside the strip; a beat whose R falls at or past
-    its end is still drawn, for its leading flank.
+    The positions are those inside the strip; a beat whose R rounds to the
+    strip's length is still drawn, for its leading flank.
     """
     n = _record_samples(duration_s, fs, 1)
     rng = np.random.default_rng(params.seed)
