@@ -1,5 +1,8 @@
 """Detector and windowing behavior against synthetic records with known peaks."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from ecgvae.preprocess import (
     extract_cycles,
     preprocess_records,
 )
-from ecgvae.synth import MorphologyParams, gen_corpus, gen_record
+from ecgvae.synth import MorphologyParams, ParamRanges, gen_corpus, gen_record
 
 
 def match_counts(found: np.ndarray, truth: np.ndarray, tol: int = 10):
@@ -296,3 +299,46 @@ class TestBatchedMatchesPerLeadOracle:
         monkeypatch.setattr(preprocess, "_STACK_SAMPLES", 1000)
         records = [rec for rec, _ in gen_corpus(2, seed=36, duration_s=10.0, n_leads=2)]
         assert_same_bits(preprocess_records(records), per_lead_oracle(records))
+
+
+def short_sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestPinnedDetector:
+    """Exact detector output on fixed corpora of 40 records, as sha256 prefixes.
+
+    `peaks` digests every (segment, lead) row's int64 R indices, each row led
+    by its count; `cycles`, `meta` and `stats` digest preprocess_records'
+    outputs. Any moved peak, added or lost, changes them.
+    """
+
+    CORPORA = {
+        "seed-101": dict(seed=101),
+        "seed-5": dict(seed=5),
+        "seed-2-three-leads": dict(seed=2, n_leads=3),
+        # criterion 9's noisy corpus
+        "seed-606-noisy": dict(seed=606, ranges=ParamRanges(noise_std=(0.01, 0.05))),
+    }
+    DIGESTS = {
+        "seed-101": {"peaks": "2ebc5802382d1f30", "cycles": "3daf8a8bb8e5c116",
+                     "meta": "92156d699db84dae", "stats": "76c196ce16a8e738"},
+        "seed-5": {"peaks": "418e6e4b3040be84", "cycles": "723e1dfb0755f6b8",
+                   "meta": "d1f272a714a8d1ac", "stats": "39d9c6d679ef270f"},
+        "seed-2-three-leads": {"peaks": "d7d07ea6c993d4fc", "cycles": "ce2bebbd018634dd",
+                               "meta": "9a485566ab073736", "stats": "33b136f1be3bd500"},
+        "seed-606-noisy": {"peaks": "513f776ca0c26da7", "cycles": "6e28f577f80a55dd",
+                           "meta": "67e9d05871ed43e9", "stats": "92894012afde26cf"},
+    }
+
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_digests(self, name):
+        records = [rec for rec, _ in gen_corpus(40, **self.CORPORA[name])]
+        rows = [detect_r_peaks(seg.leads[i], seg.sampling_rate_hz).indices
+                for rec in records for seg in cut_segments(rec) for i in range(seg.n_leads)]
+        peaks = np.concatenate([np.concatenate(([len(r)], r)) for r in rows]).astype(np.int64)
+        cycles, meta, stats = preprocess_records(records)
+        got = {"peaks": short_sha(peaks.tobytes()), "cycles": short_sha(cycles.tobytes()),
+               "meta": short_sha(json.dumps(meta).encode()),
+               "stats": short_sha(json.dumps(stats, sort_keys=True).encode())}
+        assert got == self.DIGESTS[name]
