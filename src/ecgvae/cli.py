@@ -39,6 +39,7 @@ from .errors import DimensionError, FormatError, NumericsError, StateError  # no
 from .experiments import sample_synthetic, traversal_sweep  # noqa: E402
 from .metrics import check_sigma, compare_sets  # noqa: E402
 from .model import encode_batch  # noqa: E402
+from .preprocess import SEGMENT_S, preprocess_records  # noqa: E402
 from .synth import DEFAULT_FS, ParamRanges, gen_corpus  # noqa: E402
 from .training import DEFAULT_BETA_KL, TrainConfig, train  # noqa: E402
 
@@ -237,9 +238,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    # on demand: its imports dominate cold start
-    from .preprocess import SEGMENT_S, preprocess_records
-
     half_width = _positive(args.half_width, "--half-width")
     in_dir: Path = args.in_dir
     if not in_dir.is_dir():

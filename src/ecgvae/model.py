@@ -263,8 +263,12 @@ def kl_node(mu: Tensor, logvar: Tensor) -> Tensor:
     """KL(N(mu, diag exp(logvar)) || N(0, I)), summed over features, mean over rows.
 
     Closed form per feature: (mu^2 + e^lv - lv - 1) / 2. mu and logvar are
-    [rows, features]: axis 0 counts the rows.
+    [rows, features] of one shape: axis 0 counts the rows, so DimensionError
+    for any other rank or for mismatched shapes.
     """
+    if mu.data.ndim != 2 or mu.data.shape != logvar.data.shape:
+        raise DimensionError(f"kl_node needs mu and logvar of one shape [rows, features], "
+                             f"got {mu.data.shape} and {logvar.data.shape}")
     b = mu.data.shape[0]
     per_element = ad.square(mu) + ad.exp(logvar) - logvar - 1.0
     return ad.reduce_sum(per_element) * (0.5 / b)

@@ -3,17 +3,43 @@
 The pipeline has one configuration: records are cut into SEGMENT_S (9 s)
 segments, and every extracted cycle has its baseline removed.
 
-The detector follows the classic energy-based recipe: zero-phase band-pass
-around the QRS band (5-15 Hz), squared derivative, moving-window integration,
-then peak picking against half of a rolling maximum. Detections are refined
-to the raw-signal maximum near the center of the energy window, so reported
-indices land on the R peak itself.
+The detector follows the classic energy-based recipe (Pan & Tompkins 1985):
+zero-phase band-pass around the QRS band (5-15 Hz), squared derivative,
+moving-window integration, then peak picking against half of a rolling
+maximum. Detections are refined to the raw-signal maximum near the center of
+the energy window, so reported indices land on the R peak itself.
 
 The band-pass is designed once per sampling rate. `preprocess_records`
 filters the (segment, lead) rows of all records together, in stacks of rows
 that share a rate and length, each stack bounded to _STACK_SAMPLES samples so
 that peak memory does not grow with the record count; only peak picking and
 refinement run row by row. Cycles are cut by one gather per row.
+
+The four signal steps are short numpy forms of their scipy counterparts, so
+that importing this module loads numpy alone (the tests hold scipy as their
+oracle):
+- `_bandpass`: scipy.signal.butter(1, band, "bandpass") in closed form: the
+  analog first-order prototype moved to the prewarped band, then the
+  bilinear transform. It needs a rate above 30 Hz, as butter did;
+- `_filtfilt`: scipy.signal.filtfilt of that 2-pole filter, with scipy's odd
+  extension of 9 samples at each end and its `lfilter_zi` start. Each pass
+  (`_lfilter`) runs the state-space recursion in blocks of _BLOCK samples:
+  one matmul for every block's end state from its inputs, a loop of 2x2
+  steps that carries the state from block to block, and one matmul for every
+  block's outputs from its inputs and start state. It agrees with scipy to
+  ~1e-14 of the output's scale, not bitwise;
+- `_local_maxima` and `_find_peaks`: scipy.signal.find_peaks(x, distance=d)
+  over every row of a stack at once. A local maximum is a rise, then (after
+  zero or more flat diffs) a fall in the signs of a row's diffs; a flat
+  run's peak is its middle sample `(left + right) // 2`. Then, tallest
+  first, each kept peak removes the peaks of its row fewer than d samples
+  away. Equal heights are taken in index order, the earlier first; scipy
+  leaves their order to an unstable sort;
+- `_window_max`: scipy.ndimage.maximum_filter1d(x, size, mode="nearest"),
+  read only at the candidate peaks. The window of i is
+  [i - size // 2, i + (size - 1) // 2], scipy's origin at odd and even
+  sizes, clipped to the row (a window past an end holds copies of the edge
+  sample), and its max lies at a clipped end or at a local maximum inside.
 """
 
 from __future__ import annotations
@@ -21,8 +47,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
-from scipy.signal import butter, filtfilt, find_peaks
 
 from .data import CYCLE_LEN, EcgRecord, RPeakList, check_sampling_rate
 from .errors import DimensionError
@@ -30,6 +54,8 @@ from .errors import DimensionError
 REFRACTORY_S = 0.2  # minimum believable gap between two R peaks
 SEGMENT_S = 9.0
 _STACK_SAMPLES = 2 ** 18  # samples per detection stack: ~58 rows of 9 s at 500 Hz
+_PAD = 9  # filtfilt's odd extension at each end: scipy's 3 * max(len(a), len(b))
+_BLOCK = 64  # samples per block of the state-space filter
 
 
 def cut_segments(record: EcgRecord) -> list[EcgRecord]:
@@ -50,11 +76,155 @@ def cut_segments(record: EcgRecord) -> list[EcgRecord]:
 
 @lru_cache(maxsize=8)
 def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """First-order Butterworth band-pass around the QRS band (5-15 Hz), read-only."""
+    """First-order Butterworth band-pass around the QRS band (5-15 Hz), read-only.
+
+    The prototype pole s = -1 goes to the band as the roots of s^2 + bw s + wo^2
+    (bw and wo^2 the difference and product of the prewarped edges), and the
+    bilinear transform at scipy's fs = 2 sends those to the z-plane and the
+    band's two zeros to z = 1 and z = -1.
+    """
     nyq = fs / 2.0
-    b, a = butter(1, [5.0 / nyq, 15.0 / nyq], btype="bandpass")
+    if not 15.0 < nyq:
+        raise ValueError(f"sampling rate must be above 30 Hz for the 5-15 Hz QRS band, got {fs}")
+    lo, hi = (4.0 * np.tan(np.pi * edge / nyq / 2.0) for edge in (5.0, 15.0))
+    bw, wo2 = hi - lo, hi * lo
+    den = 16.0 + 4.0 * bw + wo2  # (4 - p1)(4 - p2) over the two analog poles
+    gain = 4.0 * bw / den
+    b = np.array([gain, 0.0, -gain])
+    a = np.array([1.0, -(32.0 - 2.0 * wo2) / den, (16.0 - 4.0 * bw + wo2) / den])
     b.flags.writeable = a.flags.writeable = False
     return b, a
+
+
+@lru_cache(maxsize=8)
+def _blocks(b: tuple, a: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block matrices of the 2-pole IIR (b, a), for _lfilter.
+
+    Its transposed direct form is the recursion s' = A s + g x, y = b0 x + s[0].
+    Over a block of m = _BLOCK inputs u and a start state s, that is
+    y = T u + O s and s_end = A^m s + G u, with T the [m, m] Toeplitz of the
+    impulse response. Returns, for row vectors, [T | O]^T [m + 2, m],
+    G^T [m, 2] and (A^m)^T.
+    """
+    m = _BLOCK
+    step = np.array([[-a[1], 1.0], [-a[2], 0.0]])
+    g = np.array([b[1] - a[1] * b[0], b[2] - a[2] * b[0]])
+    powers = [np.eye(2)]  # A^0 .. A^m
+    for _ in range(m):
+        powers.append(step @ powers[-1])
+    powers = np.array(powers)
+    impulse = np.concatenate(([b[0]], powers[:m - 1, 0] @ g))
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    response = np.concatenate((toeplitz.T, powers[:m, 0].T))
+    return response, powers[m - 1::-1] @ g, powers[m].T.copy()
+
+
+def _lfilter(b: np.ndarray, a: np.ndarray, u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x, zi=state)[0] of a 2-pole IIR, for rows x cut in blocks.
+
+    u [R, blocks, _BLOCK + 2] holds each row's x, zero-padded to whole blocks,
+    in [..., :_BLOCK]; the last two columns are scratch. One matmul gives every
+    block's end state from its inputs, a loop of 2x2 steps carries the state
+    from block to block into the scratch columns, and one matmul gives every
+    block's outputs (see _blocks). Returns y [R, blocks * _BLOCK].
+    """
+    rows, blocks, _ = u.shape
+    m = _BLOCK
+    response, to_end, carry = _blocks(tuple(b), tuple(a))
+    flat = u.reshape(-1, m + 2)
+    pushed = (flat[:, :m] @ to_end).reshape(rows, blocks, 2)
+    starts = u[:, :, m:]
+    for k in range(blocks):
+        starts[:, k] = state
+        state = state @ carry + pushed[:, k]
+    return (flat @ response).reshape(rows, -1)
+
+
+def _filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.filtfilt(b, a, x, axis=-1) for a 2-pole IIR, rows of x [R, L > _PAD]."""
+    rows, n = x.shape
+    ext = n + 2 * _PAD
+    blocks = -(-ext // _BLOCK)
+    flat = np.zeros((rows, blocks * _BLOCK))
+    flat[:, :_PAD] = 2.0 * x[:, :1] - x[:, _PAD:0:-1]
+    flat[:, _PAD:_PAD + n] = x
+    flat[:, _PAD + n:ext] = 2.0 * x[:, -1:] - x[:, -2:-_PAD - 2:-1]
+    u = np.empty((rows, blocks, _BLOCK + 2))
+    u[:, :, :_BLOCK] = flat.reshape(rows, blocks, _BLOCK)
+    # lfilter_zi: the state a unit step settles to, s = A s + g
+    zi = np.linalg.solve(np.array([[1.0 + a[1], -1.0], [a[2], 1.0]]),
+                         [b[1] - a[1] * b[0], b[2] - a[2] * b[0]])
+    y = _lfilter(b, a, u, zi * flat[:, :1])
+    flat[:, :ext] = y[:, ext - 1::-1]  # the backward pass runs on y reversed
+    u[:, :, :_BLOCK] = flat.reshape(rows, blocks, _BLOCK)
+    y = _lfilter(b, a, u, zi * flat[:, :1])
+    return y[:, ext - 1 - _PAD:_PAD - 1:-1]
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Flat indices into x [R, n] of every row's local maxima, in order.
+
+    A maximum is a rise, then (after zero or more flat diffs) a fall, in the
+    signs of a row's diffs; a flat run's peak is its middle sample, rounded
+    down. Runs at either end of a row are not maxima.
+    """
+    rows, n = x.shape
+    up = x[:, 1:] > x[:, :-1]  # [R, n - 1]: the diffs that rise
+    down = x[:, 1:] < x[:, :-1]
+    row, rise = (up[:, :-1] & down[:, 1:]).nonzero()  # a rise, then at once a fall
+    found = [row * n + rise + 1]
+    # flat runs: diffs k0..k1 of a row are 0 (flat coordinates into up and down)
+    flat = (~(up | down)).ravel().nonzero()[0]
+    if flat.size:
+        row = flat // (n - 1)
+        ends = np.flatnonzero((np.diff(flat) != 1) | (np.diff(row) != 0))
+        k0, k1 = flat[np.append(0, ends + 1)], flat[np.append(ends, flat.size - 1)]
+        row, c0, c1 = k0 // (n - 1), k0 % (n - 1), k1 % (n - 1)
+        inner = (c0 > 0) & (c1 < n - 2)
+        top = np.zeros_like(inner)
+        top[inner] = up.ravel()[k0[inner] - 1] & down.ravel()[k1[inner] + 1]
+        found.append(row[top] * n + (c0[top] + c1[top] + 1) // 2)
+    return np.sort(np.concatenate(found))
+
+
+def _find_peaks(x: np.ndarray, distance: int, maxima: np.ndarray) -> np.ndarray:
+    """The maxima of x [R, n] (flat, from _local_maxima) at least `distance` apart in a row.
+
+    Tallest first, each kept peak removes the peaks fewer than `distance`
+    samples away in its row. Equal heights are taken in index order.
+    """
+    n = x.shape[1]
+    key = maxima + maxima // n * distance  # rows `distance` apart, out of each other's reach
+    lo = np.searchsorted(key, key - distance, side="right").tolist()
+    hi = np.searchsorted(key, key + distance, side="left").tolist()
+    keep = [True] * maxima.size
+    for j in np.argsort(-x.ravel()[maxima], kind="stable").tolist():
+        if keep[j]:
+            keep[lo[j]:j] = [False] * (j - lo[j])
+            keep[j + 1:hi[j]] = [False] * (hi[j] - j - 1)
+    return maxima[np.array(keep, dtype=bool)]
+
+
+def _window_max(x: np.ndarray, maxima: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """Max of x [R, n] over [i - size // 2, i + (size - 1) // 2] in i's row, for flat i in at.
+
+    scipy.ndimage.maximum_filter1d(x, size, axis=-1, mode="nearest") read at
+    `at`: a window past a row's end holds copies of its edge sample, so it is
+    the window clipped to the row. Its max lies at a clipped end or at one of
+    the row's local maxima (`maxima`, from _local_maxima) inside it.
+    """
+    n = x.shape[1]
+    flat = x.ravel()
+    start = at - at % n
+    lo = np.maximum(at - size // 2, start)
+    hi = np.minimum(at + (size - 1) // 2, start + n - 1)
+    first = np.searchsorted(maxima, lo)
+    stop = np.searchsorted(maxima, hi, side="right")
+    heights = np.append(flat[maxima], -np.inf)
+    inner = np.maximum.reduceat(heights, np.stack((first, stop), axis=1).ravel())[::2]
+    inner[first == stop] = -np.inf
+    return np.maximum(np.maximum(flat[lo], flat[hi]), inner)
 
 
 def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
@@ -64,8 +234,7 @@ def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
     if n < int(fs):
         raise DimensionError(f"lead too short for detection: {n} samples at {fs} Hz")
 
-    b, a = _bandpass(fs)
-    filtered = filtfilt(b, a, stack, axis=-1)
+    filtered = _filtfilt(*_bandpass(fs), stack)
     deriv = np.diff(filtered, axis=-1, prepend=filtered[:, :1])
     energy = deriv * deriv
 
@@ -74,15 +243,18 @@ def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
     mwi = (csum[:, win:] - csum[:, :-win]) / win
     mwi = np.concatenate((np.repeat(mwi[:, :1], win - 1, axis=-1), mwi), axis=-1)
 
-    # adaptive threshold: half the local (~2 s window) maximum of the envelope
-    roll = maximum_filter1d(mwi, size=max(1, int(round(2.0 * fs))), axis=-1, mode="nearest")
     refractory = max(1, int(round(REFRACTORY_S * fs)))
+    maxima = _local_maxima(mwi)
+    peaks = _find_peaks(mwi, refractory, maxima)
+    # adaptive threshold: half the local (~2 s window) maximum of the envelope
+    top = _window_max(mwi, maxima, peaks, max(1, int(round(2.0 * fs))))
+    peaks = peaks[mwi.ravel()[peaks] >= 0.5 * top]
+    bounds = np.searchsorted(peaks, np.arange(stack.shape[0] + 1) * n)
     # the integration window trails the QRS by ~win/2; search raw near its center
     half = int(round(0.05 * fs))
     out = []
-    for lead, env, top in zip(stack, mwi, roll):
-        cand, _ = find_peaks(env, distance=refractory)
-        cand = cand[env[cand] >= 0.5 * top[cand]]
+    for r, lead in enumerate(stack):
+        cand = peaks[bounds[r]:bounds[r + 1]] - r * n
         refined: list[int] = []
         for c in cand:
             anchor = max(0, c - win // 2)

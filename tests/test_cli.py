@@ -18,7 +18,8 @@ import ecgvae.cli
 import ecgvae.synth
 from ecgvae.cli import _build_parser, _config_keys, _parse, _subparsers, main
 from ecgvae.data import EcgRecord
-from ecgvae.persistence import load_dataset, save_dataset, save_record
+from ecgvae.persistence import load_dataset, load_record, save_dataset, save_record
+from ecgvae.preprocess import preprocess_records
 
 
 @pytest.fixture(scope="module")
@@ -425,7 +426,6 @@ class TestHostileSizes:
     def test_half_width_of_10_pow_12_is_exit_2_without_allocating(self, pipeline, tmp_path,
                                                                    capsys):
         _, records, _, _ = pipeline
-        import ecgvae.preprocess  # noqa: F401  (loaded outside the trace: scipy is ~44 MB)
         tracemalloc.start()
         try:
             code = main(["preprocess", "--in", str(records), "--half-width", str(10 ** 12),
@@ -659,11 +659,33 @@ class TestParsing:
             assert name in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        # scipy serves R-peak detection only; the other subcommands skip its import cost
-        code = "import sys, ecgvae.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        # scipy is a test dependency only: the detector is plain numpy
+        code = ("import sys, ecgvae.cli, ecgvae.preprocess; "
+                "print([m for m in sys.modules if m.startswith('scipy')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_synth_and_preprocess_run_where_scipy_cannot_be_imported(self, tmp_path):
+        refuse = ("import runpy, sys\n"
+                  "class NoScipy:\n"
+                  "    def find_spec(self, name, path=None, target=None):\n"
+                  "        if name.split('.')[0] == 'scipy':\n"
+                  "            raise ImportError(f'{name} is not installed here')\n"
+                  "sys.meta_path.insert(0, NoScipy())\n"
+                  "runpy.run_module('ecgvae.cli', run_name='__main__', alter_sys=True)\n")
+        records, dataset = tmp_path / "records", tmp_path / "cli.ecgc"
+        for argv in (["synth", "--records", "3", "--seed", "5", "--out", str(records)],
+                     ["preprocess", "--in", str(records), "--out", str(dataset)]):
+            proc = subprocess.run([sys.executable, "-c", refuse, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        loaded = [load_record(f) for f in sorted(records.glob("*.ecgr"))]
+        assert len(loaded) == 3
+        cycles, meta, _ = preprocess_records(loaded)
+        save_dataset(tmp_path / "in_process.ecgc", cycles,
+                     sampling_rate_hz=loaded[0].sampling_rate_hz, ids=meta)
+        assert dataset.read_bytes() == (tmp_path / "in_process.ecgc").read_bytes()
 
     def test_import_loads_no_xml_or_network_stack(self):
         # xml.sax.saxutils alone drags in urllib.request, http.client, ssl and email

@@ -226,6 +226,20 @@ class TestKlLoss:
         rows = [kl(mu[i:i + 1], lv[i:i + 1]) for i in range(8)]
         assert np.isclose(kl(mu, lv), np.mean(rows))
 
+    def test_one_row_of_25_features_is_25_times_one_feature(self):
+        assert kl(np.ones((1, 25)), np.zeros((1, 25))) == 12.5
+
+    @pytest.mark.parametrize("mu_shape,lv_shape", [
+        ((25,), (25,)),  # read by axis 0 as 25 rows, this gave 0.5 for the 12.5 above
+        ((1, 1, 25), (1, 1, 25)),
+        ((), ()),
+        ((1, 25), (25,)),
+        ((2, 25), (1, 25)),
+    ])
+    def test_rank_other_than_2_or_mismatched_shapes_refused(self, mu_shape, lv_shape):
+        with pytest.raises(DimensionError, match="one shape"):
+            kl(np.ones(mu_shape), np.zeros(lv_shape))
+
 
 class TestReconLoss:
     def test_hand_value(self):
@@ -251,6 +265,13 @@ class TestCycleHelpers:
         mu_ref, lv_ref = model.encode(x)
         np.testing.assert_allclose(mu_all, mu_ref.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(lv_all, lv_ref.data, rtol=1e-5, atol=1e-6)
+
+    def test_one_code_decodes_as_its_row(self, rng):
+        model = VaeModel.build(seed=0)
+        z = rng.standard_normal(25).astype(np.float32)
+        one = decode_batch(model, z)
+        assert one.shape == (1, 400)
+        assert one.tobytes() == decode_batch(model, z[None, :]).tobytes()
 
     def test_decode_batch_chunking_consistent(self, rng):
         model = VaeModel.build(seed=0)

@@ -55,6 +55,33 @@ MUTANTS = {
         "if kept and p - kept[-1] <= refractory:",
         "tests/test_preprocess.py::TestMergeClose"
         "::test_peaks_exactly_refractory_apart_are_both_kept"),
+    "bandpass-low-edge-at-6-hz": (
+        "preprocess.py",
+        "lo, hi = (4.0 * np.tan(np.pi * edge / nyq / 2.0) for edge in (5.0, 15.0))",
+        "lo, hi = (4.0 * np.tan(np.pi * edge / nyq / 2.0) for edge in (6.0, 15.0))",
+        "tests/test_preprocess.py::TestPinnedDetector::test_digests"),
+    "bandpass-nyquist-at-a-third-of-the-rate": (
+        "preprocess.py",
+        "nyq = fs / 2.0",
+        "nyq = fs / 3.0",
+        "tests/test_preprocess.py::TestPinnedDetector::test_digests"),
+    "threshold-window-of-1.5-s": (
+        "preprocess.py",
+        "top = _window_max(mwi, maxima, peaks, max(1, int(round(2.0 * fs))))",
+        "top = _window_max(mwi, maxima, peaks, max(1, int(round(1.5 * fs))))",
+        "tests/test_preprocess.py::TestPinnedDetector::test_digests"),
+    "equal-heights-go-to-the-later-peak": (
+        "preprocess.py",
+        'for j in np.argsort(-x.ravel()[maxima], kind="stable").tolist():',
+        'for j in np.argsort(x.ravel()[maxima], kind="stable")[::-1].tolist():',
+        "tests/test_scipy_oracles.py::TestScipyOracles"
+        "::test_equal_heights_go_to_the_earlier_peak"),
+    "window-max-one-sample-longer-at-even-sizes": (
+        "preprocess.py",
+        "hi = np.minimum(at + (size - 1) // 2, start + n - 1)",
+        "hi = np.minimum(at + size // 2, start + n - 1)",
+        "tests/test_scipy_oracles.py::TestScipyOracles"
+        "::test_window_max_matches_maximum_filter1d_at_the_detector_size"),
     "pool-tie-routed-to-a-later-offset": (
         "kernels.py",
         "taken = x[:, :, 0:n:width] == y",
@@ -85,6 +112,11 @@ MUTANTS = {
         "per_element = ad.square(mu) + ad.exp(logvar) - logvar - 1.0",
         "per_element = ad.square(mu) + ad.exp(logvar * 0.5) - logvar - 1.0",
         "tests/test_model.py::TestKlLoss::test_matches_numeric_integration"),
+    "kl-reads-any-rank": (
+        "model.py",
+        "if mu.data.ndim != 2 or mu.data.shape != logvar.data.shape:",
+        "if False:",
+        "tests/test_model.py::TestKlLoss::test_rank_other_than_2_or_mismatched_shapes_refused"),
     "recon-summed-not-averaged": (
         "model.py",
         "return ad.reduce_mean(ad.square(x_hat - x))",

@@ -342,3 +342,4 @@ class TestPinnedDetector:
                "meta": short_sha(json.dumps(meta).encode()),
                "stats": short_sha(json.dumps(stats, sort_keys=True).encode())}
         assert got == self.DIGESTS[name]
+
