@@ -12,8 +12,9 @@ the energy window, so reported indices land on the R peak itself.
 The band-pass is designed once per sampling rate. `preprocess_records`
 filters the (segment, lead) rows of all records together, in stacks of rows
 that share a rate and length, each stack bounded to _STACK_SAMPLES samples so
-that peak memory does not grow with the record count; only peak picking and
-refinement run row by row. Cycles are cut by one gather per row.
+that peak memory does not grow with the record count; only the refinement of
+each candidate to the raw signal runs row by row. Cycles are cut by one
+gather per row.
 
 The four signal steps are short numpy forms of their scipy counterparts, so
 that importing this module loads numpy alone (the tests hold scipy as their
@@ -24,10 +25,11 @@ oracle):
 - `_filtfilt`: scipy.signal.filtfilt of that 2-pole filter, with scipy's odd
   extension of 9 samples at each end and its `lfilter_zi` start. Each pass
   (`_lfilter`) runs the state-space recursion in blocks of _BLOCK samples:
-  one matmul for every block's end state from its inputs, a loop of 2x2
-  steps that carries the state from block to block, and one matmul for every
-  block's outputs from its inputs and start state. It agrees with scipy to
-  ~1e-14 of the output's scale, not bitwise;
+  one matmul for every block's end state from its inputs, a prefix scan of
+  2x2 steps (log2 of the block count of them) that carries the state from
+  block to block, and one matmul for every block's outputs from its inputs
+  and start state. It agrees with scipy to ~1e-14 of the output's scale, not
+  bitwise;
 - `_local_maxima` and `_find_peaks`: scipy.signal.find_peaks(x, distance=d)
   over every row of a stack at once. A local maximum is a rise, then (after
   zero or more flat diffs) a fall in the signs of a row's diffs; a flat
@@ -125,19 +127,23 @@ def _lfilter(b: np.ndarray, a: np.ndarray, u: np.ndarray, state: np.ndarray) -> 
 
     u [R, blocks, _BLOCK + 2] holds each row's x, zero-padded to whole blocks,
     in [..., :_BLOCK]; the last two columns are scratch. One matmul gives every
-    block's end state from its inputs, a loop of 2x2 steps carries the state
-    from block to block into the scratch columns, and one matmul gives every
+    block's end state from its inputs alone, a scan of 2x2 steps carries the
+    state across blocks into the scratch columns, and one matmul gives every
     block's outputs (see _blocks). Returns y [R, blocks * _BLOCK].
     """
     rows, blocks, _ = u.shape
     m = _BLOCK
     response, to_end, carry = _blocks(tuple(b), tuple(a))
     flat = u.reshape(-1, m + 2)
-    pushed = (flat[:, :m] @ to_end).reshape(rows, blocks, 2)
     starts = u[:, :, m:]
-    for k in range(blocks):
-        starts[:, k] = state
-        state = state @ carry + pushed[:, k]
+    starts[:, 0] = state
+    starts[:, 1:] = (flat[:, :m] @ to_end).reshape(rows, blocks, 2)[:, :-1]
+    # s_k = s_(k-1) A^m + G u_(k-1) as a prefix scan whose reach doubles each step
+    power, reach = carry, 1
+    while reach < blocks:
+        starts[:, reach:] += starts[:, :-reach] @ power
+        power = power @ power
+        reach *= 2
     return (flat @ response).reshape(rows, -1)
 
 
@@ -153,8 +159,9 @@ def _filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     u = np.empty((rows, blocks, _BLOCK + 2))
     u[:, :, :_BLOCK] = flat.reshape(rows, blocks, _BLOCK)
     # lfilter_zi: the state a unit step settles to, s = A s + g
-    zi = np.linalg.solve(np.array([[1.0 + a[1], -1.0], [a[2], 1.0]]),
-                         [b[1] - a[1] * b[0], b[2] - a[2] * b[0]])
+    g0, g1 = b[1] - a[1] * b[0], b[2] - a[2] * b[0]
+    settled = (g0 + g1) / (1.0 + a[1] + a[2])
+    zi = np.array([settled, g1 - a[2] * settled])
     y = _lfilter(b, a, u, zi * flat[:, :1])
     flat[:, :ext] = y[:, ext - 1::-1]  # the backward pass runs on y reversed
     u[:, :, :_BLOCK] = flat.reshape(rows, blocks, _BLOCK)
@@ -169,7 +176,7 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     signs of a row's diffs; a flat run's peak is its middle sample, rounded
     down. Runs at either end of a row are not maxima.
     """
-    rows, n = x.shape
+    n = x.shape[1]
     up = x[:, 1:] > x[:, :-1]  # [R, n - 1]: the diffs that rise
     down = x[:, 1:] < x[:, :-1]
     row, rise = (up[:, :-1] & down[:, 1:]).nonzero()  # a rise, then at once a fall
