@@ -242,13 +242,18 @@ def _detect_rows(stack: np.ndarray, fs: float) -> list[RPeakList]:
         raise DimensionError(f"lead too short for detection: {n} samples at {fs} Hz")
 
     filtered = _filtfilt(*_bandpass(fs), stack)
-    deriv = np.diff(filtered, axis=-1, prepend=filtered[:, :1])
-    energy = deriv * deriv
+    # the running sum of the squared derivative from 0, whose first sample is 0;
+    # written in place: each stack-sized temporary costs fresh pages
+    csum = np.zeros((stack.shape[0], n + 1))
+    np.subtract(filtered[:, 1:], filtered[:, :-1], out=csum[:, 2:])
+    np.multiply(csum, csum, out=csum)
+    np.cumsum(csum, axis=-1, out=csum)
 
     win = max(1, int(round(0.15 * fs)))
-    csum = np.cumsum(np.concatenate((np.zeros((stack.shape[0], 1)), energy), axis=-1), axis=-1)
-    mwi = (csum[:, win:] - csum[:, :-win]) / win
-    mwi = np.concatenate((np.repeat(mwi[:, :1], win - 1, axis=-1), mwi), axis=-1)
+    mwi = np.empty((stack.shape[0], n))
+    np.subtract(csum[:, win:], csum[:, :-win], out=mwi[:, win - 1:])
+    mwi[:, win - 1:] /= win
+    mwi[:, :win - 1] = mwi[:, win - 1:win]
 
     refractory = max(1, int(round(REFRACTORY_S * fs)))
     maxima = _local_maxima(mwi)
